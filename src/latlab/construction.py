@@ -25,7 +25,9 @@ exhaustive and returns the lexicographically least realization.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,22 +108,35 @@ class PartialStructure:
 
     # ----- queries --------------------------------------------------------
 
-    def height_of(self, symbol: str) -> int | None:
+    @functools.cached_property
+    def _heights(self) -> dict[str, int]:
+        index: dict[str, int] = {}
         for st in self.statements:
-            if st.kind is StatementKind.HEIGHT_IS and st.operands[0] == symbol:
-                return st.value
-        return None
+            if st.kind is StatementKind.HEIGHT_IS:
+                index.setdefault(st.operands[0], st.value)
+        return index
+
+    @functools.cached_property
+    def _splits(self) -> dict[str, tuple[str, str]]:
+        """Per symbol, the least (b, c) with b join c = symbol, disjoint."""
+        index: dict[str, tuple[str, str]] = {}
+        for st in self.statements:
+            if st.kind is not StatementKind.JOIN_EQ:
+                continue
+            b, c, symbol = st.operands
+            if symbol in (b, c) or Statement.disjoint(b, c) not in self.statements:
+                continue
+            if symbol not in index or (b, c) < index[symbol]:
+                index[symbol] = (b, c)
+        return index
+
+    def height_of(self, symbol: str) -> int | None:
+        return self._heights.get(symbol)
 
     def split_of(self, symbol: str) -> tuple[str, str] | None:
-        """The recorded disjoint split (b, c) with b join c = symbol, if any."""
-        for st in sorted(self.statements, key=Statement.sort_key):
-            if st.kind is StatementKind.JOIN_EQ and st.operands[2] == symbol:
-                b, c = st.operands[0], st.operands[1]
-                if symbol in (b, c):
-                    continue
-                if Statement.disjoint(b, c) in self.statements:
-                    return (b, c)
-        return None
+        """The recorded disjoint split (b, c) with b join c = symbol, if any;
+        the lexicographically least one when several are recorded."""
+        return self._splits.get(symbol)
 
     def leaves(self) -> tuple[str, ...]:
         """Constants declared at height 1, in declaration order."""
@@ -528,19 +543,60 @@ class BooleanSublattice:
     blocks: tuple[ElementId, ...]
 
 
-def _close_blocks(lat: FiniteLattice, blocks: list[int]) -> BooleanSublattice | None:
+def _close_blocks(
+    bottom: int, meet_t: list[list[int]], join_t: list[list[int]], blocks: list[int]
+) -> BooleanSublattice | None:
     k = len(blocks)
-    joins = [lat.bottom] * (1 << k)
+    joins = [bottom] * (1 << k)
     for mask in range(1, 1 << k):
         low = (mask & -mask).bit_length() - 1
-        joins[mask] = lat.join(joins[mask ^ (1 << low)], blocks[low])
+        joins[mask] = join_t[joins[mask ^ (1 << low)]][blocks[low]]
     if len(set(joins)) != 1 << k:
         return None
     for i in range(1 << k):
+        row = meet_t[joins[i]]
         for j in range(i, 1 << k):
-            if lat.meet(joins[i], joins[j]) != joins[i & j]:
+            if row[joins[j]] != joins[i & j]:
                 return None
     return BooleanSublattice(tuple(sorted(set(joins))), tuple(blocks))
+
+
+# lattice -> [(element bitmask, sublattice)] in enumeration order; an entry
+# is made once per lattice object and dropped with it.
+_SUBLATTICES = weakref.WeakKeyDictionary()
+
+
+def _all_boolean_sublattices(lat: FiniteLattice) -> list[tuple[int, BooleanSublattice]]:
+    """Grow disjoint block decompositions of the top and close each one.
+
+    A candidate block z is admitted only when it meets the join of the
+    blocks so far at the bottom.  This drops nothing: in a boolean
+    sublattice the joins of disjoint sets of atoms meet at the bottom, so a
+    decomposition containing the blocks and z would be rejected by
+    :func:`_close_blocks` anyway.
+    """
+    nonzero = [e for e in range(lat.size) if e != lat.bottom]
+    max_blocks = max(lat.size.bit_length() - 1, 1)
+    meet_t, join_t = lat.meet_table.tolist(), lat.join_table.tolist()
+    out: list[BooleanSublattice] = []
+
+    def grow(blocks: list[int], join_so_far: int, start: int):
+        if join_so_far == lat.top and blocks:
+            sub = _close_blocks(lat.bottom, meet_t, join_t, blocks)
+            if sub is not None:
+                out.append(sub)
+            return
+        if len(blocks) >= max_blocks:
+            return
+        below = meet_t[join_so_far]
+        for i in range(start, len(nonzero)):
+            z = nonzero[i]
+            if below[z] == lat.bottom:
+                grow(blocks + [z], join_t[join_so_far][z], i + 1)
+
+    grow([], lat.bottom, 0)
+    out.sort(key=lambda s: (len(s.elements), s.elements))
+    return [(sum(1 << e for e in sub.elements), sub) for sub in out]
 
 
 def enumerate_boolean_sublattices(
@@ -550,31 +606,20 @@ def enumerate_boolean_sublattices(
 
     Each is generated by a disjoint block decomposition of the top; the
     decomposition's subset-joins must be distinct and meet-compatible.
+    Enumeration runs once per lattice object; later calls filter that list.
     """
     cap = ambient_cap()
     if lat.size > cap:
         raise SizeBound(f"sublattice enumeration is capped at {cap} elements")
-    required = set(int(e) for e in must_contain)
-    nonzero = [e for e in range(lat.size) if e != lat.bottom]
-    max_blocks = max(lat.size.bit_length() - 1, 1)
-    out: list[BooleanSublattice] = []
-
-    def grow(blocks: list[int], join_so_far: int, start: int):
-        if join_so_far == lat.top and blocks:
-            sub = _close_blocks(lat, blocks)
-            if sub is not None and required <= set(sub.elements):
-                out.append(sub)
-            return
-        if len(blocks) >= max_blocks:
-            return
-        for i in range(start, len(nonzero)):
-            z = nonzero[i]
-            if all(lat.meet(z, b) == lat.bottom for b in blocks):
-                grow(blocks + [z], lat.join(join_so_far, z), i + 1)
-
-    grow([], lat.bottom, 0)
-    out.sort(key=lambda s: (len(s.elements), s.elements))
-    return out
+    required = 0
+    for e in map(int, must_contain):
+        if e < 0:
+            return []  # no element has a negative id
+        required |= 1 << e
+    subs = _SUBLATTICES.get(lat)
+    if subs is None:
+        subs = _SUBLATTICES[lat] = _all_boolean_sublattices(lat)
+    return [sub for mask, sub in subs if required & ~mask == 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -629,16 +674,12 @@ def covers_of(
             f"covers are capped at {MAX_SUBSTRUCTURE_CONSTANTS} constants"
         )
     f = _anchored_realization(structure, ambient, realization)
-    subs = enumerate_boolean_sublattices(ambient)
     parts = []
     for r in range(1, len(symbols) + 1):
         for group in itertools.combinations(symbols, r):
-            image = {f.mapping[c] for c in group}
-            for sub in subs:
-                if image <= set(sub.elements):
-                    parts.append(
-                        CoverPart(group, sub, {c: f.mapping[c] for c in group})
-                    )
+            image = [f.mapping[c] for c in group]
+            for sub in enumerate_boolean_sublattices(ambient, image):
+                parts.append(CoverPart(group, sub, dict(zip(group, image))))
     return [Cover(tuple(parts))]
 
 
@@ -674,12 +715,9 @@ def boolean_closure(
             f"closure is capped at {MAX_SUBSTRUCTURE_CONSTANTS} constants"
         )
     f = _anchored_realization(structure, ambient, realization)
-    image = {f.mapping[c] for c in symbols}
-    extensions = [
-        sub
-        for sub in enumerate_boolean_sublattices(ambient)
-        if image <= set(sub.elements)
-    ]
+    extensions = enumerate_boolean_sublattices(
+        ambient, must_contain=[f.mapping[c] for c in symbols]
+    )
     if not extensions:
         return None
     shared = set(extensions[0].elements)

@@ -2,7 +2,8 @@
 
 Built-in caps keep every operation exhaustive yet fast on a laptop.  The
 environment variable LATTICE_MAX_ELEMENTS may lower (never raise) the
-element-count caps.
+element-count caps; a value that is not a positive integer is rejected with
+ValueError.
 """
 
 import os
@@ -14,7 +15,7 @@ MAX_TREE_DEPTH = 6
 MAX_VECTORS = 4096
 MAX_REALIZATION_ELEMENTS = 256
 MAX_REALIZATION_CONSTANTS = 64
-MAX_AMBIENT_ELEMENTS = 64
+MAX_AMBIENT_ELEMENTS = 128
 MAX_SUBSTRUCTURE_CONSTANTS = 8
 MAX_INDEPENDENCE_ATOMS = 24
 
@@ -28,8 +29,10 @@ def _env_cap():
     try:
         value = int(raw)
     except ValueError:
-        return None
-    return value if value > 0 else None
+        value = 0
+    if value < 1:
+        raise ValueError(f"{ENV_VAR} must be a positive integer, got {raw!r}")
+    return value
 
 
 def element_cap(builtin=MAX_ELEMENTS):

@@ -3,7 +3,10 @@
 Everything here recomputes answers from first principles: order scans over
 the raw leq relation, recursive chain lengths, subset enumeration over raw
 vectors, and all-assignments realization search.  Nothing uses the
-package's precomputed tables, so agreement is meaningful.
+package's precomputed tables, so agreement is meaningful.  The exception is
+the construction-engine section at the end: those full scans read the
+lattice's meet/join tables and check the package's indexes, memo and
+pruning against the unindexed, uncached forms.
 """
 
 import itertools
@@ -216,3 +219,77 @@ def all_realizations(structure, lat):
         if ok:
             found.append(tuple(mapping[c] for c in consts))
     return sorted(found)
+
+
+# ----- construction-engine reference scans ----------------------------------
+#
+# Every call rescans the statements or regrows every block decomposition,
+# with no caching and no pruning beyond pairwise disjointness.
+
+
+def scan_height_of(structure, symbol):
+    """Declared height of a constant, by scanning every statement."""
+    from latlab.construction import StatementKind
+
+    for st in structure.statements:
+        if st.kind is StatementKind.HEIGHT_IS and st.operands[0] == symbol:
+            return st.value
+    return None
+
+
+def scan_split_of(structure, symbol):
+    """First recorded disjoint split (b, c) of a constant in sorted order."""
+    from latlab.construction import Statement, StatementKind
+
+    for st in sorted(structure.statements, key=Statement.sort_key):
+        if st.kind is StatementKind.JOIN_EQ and st.operands[2] == symbol:
+            b, c = st.operands[0], st.operands[1]
+            if symbol in (b, c):
+                continue
+            if Statement.disjoint(b, c) in structure.statements:
+                return (b, c)
+    return None
+
+
+def _close_blocks(lat, blocks):
+    from latlab.construction import BooleanSublattice
+
+    k = len(blocks)
+    joins = [lat.bottom] * (1 << k)
+    for mask in range(1, 1 << k):
+        low = (mask & -mask).bit_length() - 1
+        joins[mask] = lat.join(joins[mask ^ (1 << low)], blocks[low])
+    if len(set(joins)) != 1 << k:
+        return None
+    for i in range(1 << k):
+        for j in range(i, 1 << k):
+            if lat.meet(joins[i], joins[j]) != joins[i & j]:
+                return None
+    return BooleanSublattice(tuple(sorted(set(joins))), tuple(blocks))
+
+
+def scan_boolean_sublattices(lat, must_contain=()):
+    """Boolean sublattices through the bounds containing ``must_contain``:
+    every pairwise-disjoint block decomposition of the top, closed and
+    filtered on each call, sorted by size and then elements."""
+    required = set(int(e) for e in must_contain)
+    nonzero = [e for e in range(lat.size) if e != lat.bottom]
+    max_blocks = max(lat.size.bit_length() - 1, 1)
+    out = []
+
+    def grow(blocks, join_so_far, start):
+        if join_so_far == lat.top and blocks:
+            sub = _close_blocks(lat, blocks)
+            if sub is not None and required <= set(sub.elements):
+                out.append(sub)
+            return
+        if len(blocks) >= max_blocks:
+            return
+        for i in range(start, len(nonzero)):
+            z = nonzero[i]
+            if all(lat.meet(z, b) == lat.bottom for b in blocks):
+                grow(blocks + [z], lat.join(join_so_far, z), i + 1)
+
+    grow([], lat.bottom, 0)
+    out.sort(key=lambda s: (len(s.elements), s.elements))
+    return out

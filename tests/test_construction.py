@@ -1,6 +1,11 @@
+import gc
 import itertools
+import random
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latlab import (
     DepthExhausted,
@@ -36,7 +41,14 @@ from latlab import (
     verify_projective_pipeline,
 )
 
-from oracles import all_realizations, naive_realization_exists
+from latlab import construction
+from oracles import (
+    all_realizations,
+    naive_realization_exists,
+    scan_boolean_sublattices,
+    scan_height_of,
+    scan_split_of,
+)
 
 
 def three_leaf_tree():
@@ -288,7 +300,7 @@ def test_sublattices_through_two_fano_atoms(fano):
 
 def test_sublattice_enumeration_cap():
     with pytest.raises(SizeBound):
-        enumerate_boolean_sublattices(boolean_lattice(7))
+        enumerate_boolean_sublattices(boolean_lattice(8))
 
 
 def test_covers_on_the_two_chain():
@@ -429,3 +441,101 @@ def test_projective_pipeline_passes():
 def test_projective_pipeline_parameter_validation():
     with pytest.raises(ValueError):
         verify_projective_pipeline(3, 4)
+
+
+# ----- indexes and memo against the full-scan references -------------------
+
+
+def _assert_indexes_match_scans(structure):
+    for c in structure.constants + ("absent",):
+        assert structure.height_of(c) == scan_height_of(structure, c), c
+        assert structure.split_of(c) == scan_split_of(structure, c), c
+
+
+def test_height_and_split_indexes_match_scans():
+    for depth in range(1, 7):
+        _assert_indexes_match_scans(build_tree(depth))
+    _assert_indexes_match_scans(triple_split_structure())
+
+
+def _recorded_splits(s):
+    return sorted(
+        (stmt.operands[2], stmt.operands[0], stmt.operands[1])
+        for stmt in s.statements
+        if stmt.kind is StatementKind.JOIN_EQ
+        and stmt.operands[2] not in stmt.operands[:2]
+        and Statement.disjoint(*stmt.operands[:2]) in s.statements
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 2**16)), max_size=8),
+)
+def test_indexes_match_scans_on_grown_structures(depth, steps):
+    s = initial_structure(depth)
+    for alternative, pick in steps:
+        if alternative:
+            splits = _recorded_splits(s)
+            if not splits:
+                continue
+            symbol, b, c = splits[pick % len(splits)]
+            part, other = (b, c) if pick % 2 else (c, b)
+            s = add_split_alternative(s, symbol, part, other)
+        else:
+            tall = [c for c in s.constants if (scan_height_of(s, c) or 0) >= 2]
+            if not tall:
+                continue
+            c = tall[pick % len(tall)]
+            h = scan_height_of(s, c)
+            hb = 1 + pick % (h - 1)
+            s = split_element(s, c, (hb, h - hb))
+    _assert_indexes_match_scans(s)
+
+
+def test_sublattice_enumeration_matches_the_full_scan(law_corpus):
+    lats = [lat for lat in law_corpus if lat.size <= 64]
+    lats += [subspace_lattice(4, 2)]
+    names = {lat.name for lat in lats}
+    assert {"B_6", "M3", "N5", "subspaces_4_2"} <= names, names
+    for lat in lats:
+        full = scan_boolean_sublattices(lat)
+        assert enumerate_boolean_sublattices(lat) == full, lat.name
+        rng = random.Random(lat.size)
+        sub = rng.choice(full)
+        must = rng.sample(sub.elements, min(2, len(sub.elements)))
+        got = enumerate_boolean_sublattices(lat, must_contain=must)
+        assert got == scan_boolean_sublattices(lat, must), (lat.name, must)
+        assert sub in got
+
+
+def test_returned_sublattice_lists_are_fresh():
+    lat = boolean_lattice(3)
+    first = enumerate_boolean_sublattices(lat)
+    expected = list(first)
+    first.clear()
+    assert enumerate_boolean_sublattices(lat) == expected
+    assert enumerate_boolean_sublattices(lat, must_contain=(-1,)) == []
+
+
+def test_sublattice_cap_is_checked_after_enumeration(monkeypatch):
+    lat = boolean_lattice(3)
+    assert enumerate_boolean_sublattices(lat)
+    monkeypatch.setenv("LATTICE_MAX_ELEMENTS", str(lat.size - 1))
+    with pytest.raises(SizeBound):
+        enumerate_boolean_sublattices(lat)
+
+
+def test_sublattice_memo_does_not_keep_lattices_alive():
+    gc.collect()
+    before = len(construction._SUBLATTICES)
+    lat = boolean_lattice(3)
+    enumerate_boolean_sublattices(lat)
+    assert lat in construction._SUBLATTICES
+    assert len(construction._SUBLATTICES) == before + 1
+    ref = weakref.ref(lat)
+    del lat
+    gc.collect()
+    assert ref() is None
+    assert len(construction._SUBLATTICES) == before

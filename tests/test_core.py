@@ -197,6 +197,15 @@ def test_element_cap_env_var_lowers_only(monkeypatch):
     assert element_cap() == 4096
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+def test_malformed_element_cap_env_var_is_rejected(monkeypatch, raw):
+    monkeypatch.setenv("LATTICE_MAX_ELEMENTS", raw)
+    with pytest.raises(ValueError, match="LATTICE_MAX_ELEMENTS"):
+        element_cap()
+    with pytest.raises(ValueError, match="LATTICE_MAX_ELEMENTS"):
+        chain_cap()
+
+
 def test_chains_between_trivial_and_diamond():
     two = chain(2)
     found = chains_between(two, two.top, two.bottom)

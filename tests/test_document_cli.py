@@ -197,6 +197,13 @@ def test_verify_exit_codes(capsys):
     assert main(["verify", "boolean"]) == 2  # missing --n
 
 
+def test_verify_projective_rank_4_fits_the_ambient_cap(capsys):
+    assert main(["verify", "projective", "--n", "4", "--q", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["report"]["passed"] is True
+    assert payload["report"]["params"] == {"n": 4, "q": 2}
+
+
 def test_export_dot_and_json(tmp_path, capsys):
     path = _gen(tmp_path, "gen", "boolean", "--n", "3")
     assert main(["export", path, "--format", "hasse-dot"]) == 0
@@ -228,6 +235,12 @@ def test_element_cap_env_is_honored_by_gen(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LATTICE_MAX_ELEMENTS", "4")
     assert main(["gen", "boolean", "--n", "3"]) == 2
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_malformed_element_cap_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("LATTICE_MAX_ELEMENTS", "abc")
+    assert main(["gen", "boolean", "--n", "2"]) == 2
+    assert "LATTICE_MAX_ELEMENTS must be a positive integer" in capsys.readouterr().err
 
 
 def test_out_dash_writes_stdout(capsys):
