@@ -171,8 +171,7 @@ def _cmd_check(args) -> int:
         try:
             report = _run_law(lat, token, args.n)
         except LatticeError as exc:
-            law = Law(token) if token != "axioms" else Law.LATTICE_AXIOMS
-            report = LawReport(law, False, None, f"check aborted: {exc}")
+            report = LawReport(Law(token), False, None, f"check aborted: {exc}")
         results[token] = report.to_dict(lat)
     body = {
         "command": "check",

@@ -1,13 +1,14 @@
 """Finite bounded lattices with explicit order and precomputed bound tables.
 
 A :class:`FiniteLattice` stores element labels, the full ``leq`` relation as a
-boolean matrix, the global bottom and top, and total meet/join tables.
+boolean matrix, the global bottom and top, total meet/join tables, and, once
+first needed, its cover matrix.
 Elements are addressed by index (``ElementId``); labels exist for rendering.
 Instances are immutable after construction: all arrays are marked read-only.
 
 :func:`build_lattice` is the validating constructor: it closes the given
 relation reflexively and transitively, rejects cycles and non-lattices with a
-witness, and computes the tables.  Generators elsewhere in the package reuse
+witness, and computes the tables by recursion over covers.  Generators elsewhere in the package reuse
 :class:`FiniteLattice` directly with closed-form tables.
 """
 
@@ -29,15 +30,34 @@ from .limits import chain_cap, element_cap
 ElementId = int
 
 
-def _transitive_closure(rel: np.ndarray) -> np.ndarray:
-    # Doubling via float matmul; fast enough for the 4096-element cap.
+def _transitive_closure(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reflexive-transitive closure by squaring, plus the last square.
+
+    The second result counts, for every pair (x, y) of the closed relation,
+    the z with x <= z <= y; :func:`build_lattice` reads the cover relation
+    off it.  Float32 counts are exact up to 2^24, far above the element cap.
+    """
     cur = rel.copy()
     while True:
         f = cur.astype(np.float32)
-        nxt = cur | ((f @ f) > 0.5)
+        square = f @ f
+        nxt = cur | (square > 0.5)
         if (nxt == cur).all():
-            return nxt
+            return nxt, square
         cur = nxt
+
+
+def _cover_matrix(leq: np.ndarray) -> np.ndarray:
+    """[x, y] iff x < y with nothing strictly between."""
+    strict = leq & ~np.eye(leq.shape[0], dtype=bool)
+    via = (strict.astype(np.float32) @ strict.astype(np.float32)) > 0.5
+    return strict & ~via
+
+
+def _covers_from_square(leq: np.ndarray, square: np.ndarray) -> np.ndarray:
+    """Cover matrix of a partial order from ``leq @ leq``: x < y is a cover
+    iff x and y are the only z with x <= z <= y."""
+    return leq & (square < 2.5) & ~np.eye(leq.shape[0], dtype=bool)
 
 
 def _longest_chain_heights(leq: np.ndarray, bottom: int) -> np.ndarray:
@@ -70,6 +90,8 @@ class FiniteLattice:
         for arr in (self.leq, self.meet_table, self.join_table, self.heights):
             arr.setflags(write=False)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
+        self._covers: np.ndarray | None = None
+        self._tables_match_order: bool | None = None
 
     def __repr__(self):
         return f"FiniteLattice({self.name!r}, size={self.size})"
@@ -111,12 +133,53 @@ class FiniteLattice:
             out = int(self.meet_table[out, x])
         return out
 
+    @property
+    def covers(self) -> np.ndarray:
+        """Read-only cover matrix: [x, y] iff x < y with nothing between.
+
+        Computed on first use and shared by every caller.
+        """
+        if self._covers is None:
+            self._set_covers(_cover_matrix(self.leq))
+        return self._covers
+
+    def _set_covers(self, covers: np.ndarray) -> None:
+        covers.setflags(write=False)
+        self._covers = covers
+
     def upper_neighbors(self) -> list[tuple[ElementId, ElementId]]:
         """Cover pairs (x, y): x < y with nothing strictly between."""
-        strict = self.leq & ~np.eye(self.size, dtype=bool)
-        via = (strict.astype(np.float32) @ strict.astype(np.float32)) > 0.5
-        covers = strict & ~via
-        return [(int(x), int(y)) for x, y in np.argwhere(covers)]
+        return [(int(x), int(y)) for x, y in np.argwhere(self.covers)]
+
+    def tables_match_order(self) -> bool:
+        """True iff ``leq`` is a partial order (reflexive, antisymmetric,
+        transitive) whose least upper and greatest lower bounds all exist and
+        equal the stored join and meet tables.
+
+        Verified once per object; :func:`build_lattice` records it when it
+        derives the tables.  The law deciders in :mod:`latlab.props` rest
+        their theorem-backed answers on it.
+        """
+        if self._tables_match_order is None:
+            self._tables_match_order = self._verify_tables()
+        return self._tables_match_order
+
+    def _verify_tables(self) -> bool:
+        leq = self.leq
+        if not leq.diagonal().all():
+            return False
+        if (leq & leq.T & ~np.eye(self.size, dtype=bool)).any():
+            return False
+        f = leq.astype(np.float32)
+        square = f @ f
+        if ((square > 0.5) & ~leq).any():
+            return False
+        if self._covers is None:
+            self._set_covers(_covers_from_square(leq, square))
+        covers = self._covers
+        return _is_join_table(leq, covers, self.join_table) and _is_join_table(
+            leq.T, covers.T, self.meet_table
+        )
 
     def index_of(self, label: str) -> ElementId:
         return self._index[label]
@@ -136,7 +199,108 @@ class FiniteLattice:
         return build_lattice(labels, pairs, name=f"{self.name}[{lo},{hi}]")
 
 
-def _bound_tables(leq: np.ndarray, heights: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+# Scratch budget of the cover recursion, in table entries per step; a step
+# holds at least one element, so scratch stays within max(budget, n^2).
+_STEP_ENTRIES = 1 << 22
+
+
+def _least_upper_bounds(leq: np.ndarray, covers: np.ndarray, rank: np.ndarray) -> np.ndarray | None:
+    """Join table of a finite partial order by recursion over upper covers,
+    or None when some pair has no least upper bound.
+
+    ``rank`` must strictly increase along the order.  If y <= x then
+    x join y = x; otherwise every upper bound of {x, y} lies above some
+    cover c of x, so x join y is the least of {c join y : c covers x} and
+    exists exactly when that set has a least element (the join-over-covers
+    recursion of Ait-Kaci, Boyer, Lincoln & Nasr, "Efficient implementation
+    of lattice operations", TOPLAS 1989).
+
+    Elements are renumbered by ascending rank, so the least member of a set,
+    when there is one, is its smallest number, and by cover count within a
+    rank.  Runs of equal rank and cover count are processed from the top
+    down, so every cover's row is final before it is read; each run is one
+    vectorised step over its elements and all y at once.
+    """
+    n = leq.shape[0]
+    counts = covers.sum(axis=1)
+    perm = np.lexsort((counts, rank))
+    inv = np.empty(n, dtype=np.intp)
+    inv[perm] = np.arange(n)
+    leq = leq[np.ix_(perm, perm)]
+    flat = leq.ravel()
+    covers = covers[np.ix_(perm, perm)]
+    counts = counts[perm]
+    rank = rank[perm]
+    lub = np.empty((n, n), dtype=np.int32)
+    cuts = np.flatnonzero((np.diff(rank) != 0) | (np.diff(counts) != 0)) + 1
+    starts = np.concatenate(([0], cuts))
+    for lo, hi in zip(starts[::-1].tolist(), np.append(cuts, n)[::-1].tolist()):
+        size = int(counts[lo])
+        step = max(1, _STEP_ENTRIES // (max(size, 1) * n))
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            xs = np.arange(a, b)[:, None]
+            below = leq[:, a:b].T  # [i, y] = y <= a + i
+            if size == 0:
+                # A maximal element bounds only what lies below it.
+                if not below.all():
+                    return None
+                lub[a:b] = xs
+                continue
+            ups = np.nonzero(covers[a:b])[1].reshape(b - a, size)
+            via = lub[ups]  # [i, k, y] = (k-th cover of a + i) join y
+            least = via.min(axis=1)
+            if size > 1:
+                # int32 indices suffice: n^2 < 2^31 for any table that fits in memory.
+                ok = flat[least[:, None, :] * n + via].all(axis=1)
+                if not (ok | below).all():
+                    return None
+            lub[a:b] = np.where(below, xs, least)
+    return perm.astype(np.int32)[lub[np.ix_(inv, inv)]]
+
+
+def _is_join_table(leq: np.ndarray, covers: np.ndarray, table: np.ndarray) -> bool:
+    """True iff ``table`` holds the least upper bound of every pair of the
+    finite partial order ``leq``.
+
+    By downward induction over the order, table[x, y] is the least upper
+    bound iff it is an upper bound of x and y, equals x when y <= x, and
+    otherwise lies below table[c, y] for every cover c of x: every upper
+    bound of {x, y} other than x lies above some cover of x.  One gather per
+    cover pair, so no rank levels and no second table are needed.
+    """
+    n = leq.shape[0]
+    if table.size and (table.min() < 0 or table.max() >= n):
+        return False
+    idx = np.arange(n, dtype=np.int32)
+    below = leq.T  # [x, y] = y <= x
+    if not (leq[idx[:, None], table].all() and leq[idx[None, :], table].all()):
+        return False
+    if not ((table == idx[:, None]) | ~below).all():
+        return False
+    xs, ups = np.nonzero(covers)
+    step = max(1, _STEP_ENTRIES // n)
+    for start in range(0, xs.size, step):
+        x, c = xs[start : start + step], ups[start : start + step]
+        if not (leq[table[x], table[c]] | below[x]).all():
+            return False
+    return True
+
+
+def _order_bounds(leq: np.ndarray, covers: np.ndarray, heights: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(meet, join) tables of a finite partial order, or None when some
+    pair lacks a bound.  Meets are joins of the dual order, whose covers are
+    the transposed covers and whose rank is the height from the top."""
+    join = _least_upper_bounds(leq, covers, heights)
+    if join is None:
+        return None
+    meet = _least_upper_bounds(leq.T, covers.T, heights.max() - heights)
+    if meet is None:
+        return None
+    return meet, join
+
+
+def _scan_bound_tables(leq: np.ndarray, heights: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
     """Meet/join tables from the order; NotALattice on the first bad pair."""
     n = leq.shape[0]
     big = np.int32(n + 1)
@@ -197,7 +361,7 @@ def build_lattice(labels, leq_pairs, name="") -> FiniteLattice:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"order pair ({i}, {j}) out of range")
         rel[i, j] = True
-    leq = _transitive_closure(rel)
+    leq, square = _transitive_closure(rel)
 
     sym = leq & leq.T & ~np.eye(n, dtype=bool)
     if sym.any():
@@ -213,8 +377,15 @@ def build_lattice(labels, leq_pairs, name="") -> FiniteLattice:
     bottom, top = int(bottoms[0]), int(tops[0])
 
     heights = _longest_chain_heights(leq, bottom)
-    meet, join = _bound_tables(leq, heights, labels)
-    return FiniteLattice(labels, leq, bottom, top, meet, join, name=name)
+    covers = _covers_from_square(leq, square)
+    tables = _order_bounds(leq, covers, heights)
+    if tables is None:
+        # The scan names the lexicographically first pair without a bound.
+        tables = _scan_bound_tables(leq, heights, labels)
+    lat = FiniteLattice(labels, leq, bottom, top, *tables, name=name)
+    lat._set_covers(covers)
+    lat._tables_match_order = True
+    return lat
 
 
 @dataclass(frozen=True)

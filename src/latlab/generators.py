@@ -67,6 +67,15 @@ class SubspaceLatticeSpec:
             )
 
 
+def _gaussian_binomial(n: int, k: int, q: int) -> int:
+    """Number of k-dimensional subspaces of F_q^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
 def _rref_bases(n: int, q: int, k: int):
     """All reduced-row-echelon bases of k-dim subspaces of F_q^n."""
     if k == 0:
@@ -114,15 +123,15 @@ def subspace_lattice(dimension: int, field_order: int) -> FiniteLattice:
     """
     spec = SubspaceLatticeSpec(dimension, field_order)
     n, q = spec.dimension, spec.field_order
+    size = sum(_gaussian_binomial(n, k, q) for k in range(n + 1))
+    cap = element_cap()
+    if size > cap:
+        raise SizeBound(f"{size} subspaces exceeds the cap of {cap}")
 
     bases = []
     for k in range(n + 1):
         bases.extend(sorted(_rref_bases(n, q, k)))
     spans = [_span(b, q, n) for b in bases]
-    size = len(bases)
-    cap = element_cap()
-    if size > cap:
-        raise SizeBound(f"{size} subspaces exceeds the cap of {cap}")
 
     labels = []
     for b in bases:

@@ -1,9 +1,23 @@
 """Law checkers for finite lattices.
 
-Every checker scans the whole lattice exhaustively (no sampling) and returns
-a :class:`LawReport`.  When a law fails, the report carries the
-lexicographically first violating element tuple under the element ordering,
-so failures are reproducible and re-checkable.
+Every checker returns a :class:`LawReport`, and every "holds" answer is the
+result of a full scan (no sampling) or of a named theorem whose premise is
+verified.  The premise, :meth:`FiniteLattice.tables_match_order`, is that
+``leq`` is a partial order whose least upper and greatest lower bounds are
+the stored tables.  Given it:
+
+- the lattice axioms hold, since the bounds of a partial order form a lattice;
+- the lattice is distributive iff every join-irreducible element is
+  join-prime (Birkhoff's representation theorem);
+- the lattice is modular iff the longest-chain height is a valuation,
+  h(x meet y) + h(x join y) = h(x) + h(y): a modular lattice satisfies the
+  Jordan-Dedekind chain condition, and a strictly monotone valuation forces
+  modularity (Birkhoff, *Lattice Theory*, ch. III and X).
+
+When the premise or the theorem's condition fails, the full scan runs.  So a
+failing law always carries the lexicographically first violating element
+tuple under the element ordering, and failures are reproducible and
+re-checkable.
 """
 
 from __future__ import annotations
@@ -76,9 +90,50 @@ def _first(mask: np.ndarray) -> tuple[int, ...]:
 def check_lattice_axioms(lat: FiniteLattice) -> LawReport:
     """Re-verify idempotency, commutativity, associativity and absorption.
 
-    Works directly off the stored tables, so a corrupted table is caught even
+    Holds outright when the tables are the bounds of the order.  Otherwise
+    the stored tables are scanned, so a corrupted table is caught even
     though build_lattice validated the order it came from.
     """
+    if lat.tables_match_order():
+        return LawReport(Law.LATTICE_AXIOMS, True)
+    return _scan_lattice_axioms(lat)
+
+
+def is_distributive(lat: FiniteLattice) -> LawReport:
+    """x meet (y join z) = (x meet y) join (x meet z), all triples.
+
+    Holds without a scan when every join-irreducible is join-prime.
+    """
+    if lat.tables_match_order() and _join_irreducibles_are_prime(lat):
+        return LawReport(Law.DISTRIBUTIVE, True)
+    return _scan_distributive(lat)
+
+
+def is_modular(lat: FiniteLattice) -> LawReport:
+    """x <= z implies x join (y meet z) = (x join y) meet z.
+
+    Holds without a scan when the height satisfies the valuation identity.
+    """
+    if lat.tables_match_order() and height_report(lat).law.holds:
+        return LawReport(Law.MODULAR, True)
+    return _scan_modular(lat)
+
+
+def _join_irreducibles_are_prime(lat: FiniteLattice) -> bool:
+    """Every join-irreducible j (exactly one lower cover) satisfies
+    j not<= join{x : j not<= x}.
+
+    That join lies outside the up-set of j iff the set {x : j not<= x} has
+    a greatest element, which is then its highest element.
+    """
+    irreducible = np.flatnonzero(lat.covers.sum(axis=0) == 1)
+    outside = ~lat.leq[irreducible]  # [i, x] = j_i not<= x
+    highest = np.where(outside, lat.heights, -1).argmax(axis=1)
+    return not (outside & ~lat.leq[:, highest].T).any()
+
+
+def _scan_lattice_axioms(lat: FiniteLattice) -> LawReport:
+    """Full scan of the axioms over the stored tables, first failure first."""
     m, j = lat.meet_table, lat.join_table
     n = lat.size
     idx = np.arange(n)
@@ -115,8 +170,8 @@ def check_lattice_axioms(lat: FiniteLattice) -> LawReport:
     return LawReport(Law.LATTICE_AXIOMS, True)
 
 
-def is_distributive(lat: FiniteLattice) -> LawReport:
-    """x meet (y join z) = (x meet y) join (x meet z), all triples."""
+def _scan_distributive(lat: FiniteLattice) -> LawReport:
+    """Full scan of every triple; the first violating one is the witness."""
     m, j = lat.meet_table, lat.join_table
     for x in range(lat.size):
         lhs = m[x][j]                     # [y, z] = m[x, j[y, z]]
@@ -128,8 +183,8 @@ def is_distributive(lat: FiniteLattice) -> LawReport:
     return LawReport(Law.DISTRIBUTIVE, True)
 
 
-def is_modular(lat: FiniteLattice) -> LawReport:
-    """x <= z implies x join (y meet z) = (x join y) meet z."""
+def _scan_modular(lat: FiniteLattice) -> LawReport:
+    """Full scan of every triple; the first violating one is the witness."""
     m, j = lat.meet_table, lat.join_table
     for x in range(lat.size):
         lhs = j[x][m]                     # [y, z] = j[x, m[y, z]]

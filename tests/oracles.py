@@ -3,14 +3,19 @@
 Everything here recomputes answers from first principles: order scans over
 the raw leq relation, recursive chain lengths, subset enumeration over raw
 vectors, and all-assignments realization search.  Nothing uses the
-package's precomputed tables, so agreement is meaningful.  The exception is
-the construction-engine section at the end: those full scans read the
-lattice's meet/join tables and check the package's indexes, memo and
-pruning against the unindexed, uncached forms.
+package's precomputed tables, so agreement is meaningful.  The exceptions
+are the last two sections.  The construction-engine scans read the lattice's
+meet/join tables and check the package's indexes, memo and pruning against
+the unindexed, uncached forms.  The bound-table and law scans are the full
+O(n^3) forms that the package's cover recursion and theorem-backed deciders
+replaced; they read whatever tables and order a lattice carries, forged or
+not, and are the reference those fast paths must match exactly.
 """
 
 import itertools
 from math import comb
+
+import numpy as np
 
 
 # ----- order-theoretic oracles (leq given as a list of bool rows) -----------
@@ -293,3 +298,129 @@ def scan_boolean_sublattices(lat, must_contain=()):
     grow([], lat.bottom, 0)
     out.sort(key=lambda s: (len(s.elements), s.elements))
     return out
+
+
+# ----- bound-table and law-decider reference scans --------------------------
+#
+# Frozen copies of the full scans: every pair for the bound tables, every
+# triple for the laws, each stopping at the lexicographically first failure.
+
+
+def scan_cover_matrix(leq):
+    """Covers as x < y with no z strictly between, by one boolean matmul."""
+    strict = leq & ~np.eye(leq.shape[0], dtype=bool)
+    via = (strict.astype(np.float32) @ strict.astype(np.float32)) > 0.5
+    return strict & ~via
+
+
+def scan_bound_tables(leq, heights, labels):
+    """Meet/join tables from the order; NotALattice on the first bad pair."""
+    from latlab.errors import NotALattice
+
+    n = leq.shape[0]
+    big = np.int32(n + 1)
+    meet = np.empty((n, n), dtype=np.int32)
+    join = np.empty((n, n), dtype=np.int32)
+    idx = np.arange(n)
+    for x in range(n):
+        cu = leq[x][None, :] & leq  # [y, z] = (x <= z) and (y <= z)
+        cand = np.where(cu, heights[None, :], big).argmin(axis=1)
+        sizes = cu.sum(axis=1)
+        dominated = (cu & leq[cand]).sum(axis=1)
+        ok = cu[idx, cand] & (dominated == sizes)
+        if not ok.all():
+            y = int(np.flatnonzero(~ok)[0])
+            raise NotALattice(
+                f"elements {labels[x]!r} and {labels[y]!r} have no least upper bound",
+                witness=(x, y),
+            )
+        join[x] = cand
+
+        cl = leq[:, x][None, :] & leq.T  # [y, z] = (z <= x) and (z <= y)
+        cand = np.where(cl, heights[None, :], np.int32(-1)).argmax(axis=1)
+        sizes = cl.sum(axis=1)
+        dominates = (cl & leq[:, cand].T).sum(axis=1)
+        ok = cl[idx, cand] & (dominates == sizes)
+        if not ok.all():
+            y = int(np.flatnonzero(~ok)[0])
+            raise NotALattice(
+                f"elements {labels[x]!r} and {labels[y]!r} have no greatest lower bound",
+                witness=(x, y),
+            )
+        meet[x] = cand
+    return meet, join
+
+
+def _first(mask):
+    return tuple(int(v) for v in np.argwhere(mask)[0])
+
+
+def scan_lattice_axioms(lat):
+    """Idempotency, commutativity, associativity and absorption of the
+    stored tables, first failure first."""
+    from latlab.props import Law, LawReport
+
+    m, j = lat.meet_table, lat.join_table
+    n = lat.size
+    idx = np.arange(n)
+
+    for table, word in ((m, "meet"), (j, "join")):
+        bad = table.diagonal() != idx
+        if bad.any():
+            x = int(np.flatnonzero(bad)[0])
+            return LawReport(Law.LATTICE_AXIOMS, False, (x,), f"{word} idempotency")
+        sym = table != table.T
+        if sym.any():
+            return LawReport(
+                Law.LATTICE_AXIOMS, False, _first(sym), f"{word} commutativity"
+            )
+
+    for x in range(n):
+        for table, word in ((m, "meet"), (j, "join")):
+            left = table[table[x]]        # [y, z] = t[t[x, y], z]
+            right = table[x][table]       # [y, z] = t[x, t[y, z]]
+            bad = left != right
+            if bad.any():
+                y, z = _first(bad)
+                return LawReport(
+                    Law.LATTICE_AXIOMS, False, (x, y, z), f"{word} associativity"
+                )
+        bad = m[x][j[x]] != x             # x meet (x join y) = x
+        if bad.any():
+            y = int(np.flatnonzero(bad)[0])
+            return LawReport(Law.LATTICE_AXIOMS, False, (x, y), "meet absorption")
+        bad = j[x][m[x]] != x             # x join (x meet y) = x
+        if bad.any():
+            y = int(np.flatnonzero(bad)[0])
+            return LawReport(Law.LATTICE_AXIOMS, False, (x, y), "join absorption")
+    return LawReport(Law.LATTICE_AXIOMS, True)
+
+
+def scan_distributive(lat):
+    """x meet (y join z) = (x meet y) join (x meet z) over every triple."""
+    from latlab.props import Law, LawReport
+
+    m, j = lat.meet_table, lat.join_table
+    for x in range(lat.size):
+        lhs = m[x][j]                     # [y, z] = m[x, j[y, z]]
+        rhs = j[m[x][:, None], m[x][None, :]]
+        bad = lhs != rhs
+        if bad.any():
+            y, z = _first(bad)
+            return LawReport(Law.DISTRIBUTIVE, False, (x, y, z))
+    return LawReport(Law.DISTRIBUTIVE, True)
+
+
+def scan_modular(lat):
+    """x <= z implies x join (y meet z) = (x join y) meet z, every triple."""
+    from latlab.props import Law, LawReport
+
+    m, j = lat.meet_table, lat.join_table
+    for x in range(lat.size):
+        lhs = j[x][m]                     # [y, z] = j[x, m[y, z]]
+        rhs = m[j[x]]                     # [y, z] = m[j[x, y], z]
+        bad = (lhs != rhs) & lat.leq[x][None, :]
+        if bad.any():
+            y, z = _first(bad)
+            return LawReport(Law.MODULAR, False, (x, y, z))
+    return LawReport(Law.MODULAR, True)

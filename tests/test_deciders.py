@@ -1,0 +1,295 @@
+"""Cover-recursion bound tables and theorem-backed law deciders against the
+frozen full scans in ``oracles``.
+
+The fast paths must agree with the scans everywhere: identical tables,
+identical NotALattice message and witness, and identical LawReports,
+including on lattices whose tables or order were forged so that the
+deciders' premise fails.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from latlab import (
+    FiniteLattice,
+    NotALattice,
+    SizeBound,
+    boolean_lattice,
+    build_lattice,
+    chain,
+    check_lattice_axioms,
+    diamond_m3,
+    is_distributive,
+    is_modular,
+    pentagon_n5,
+    satisfies_height_law,
+    subspace_lattice,
+    witness_violates,
+)
+from latlab import core, generators
+from latlab.cli import main
+from latlab.limits import element_cap
+
+from oracles import (
+    brute_heights,
+    gaussian_binomial,
+    scan_bound_tables,
+    scan_cover_matrix,
+    scan_distributive,
+    scan_lattice_axioms,
+    scan_modular,
+)
+
+DECIDERS = (
+    (check_lattice_axioms, scan_lattice_axioms),
+    (is_distributive, scan_distributive),
+    (is_modular, scan_modular),
+)
+
+
+# ----- random lattices and bounded posets -----------------------------------
+
+
+def _shuffled(draw, count, pairs):
+    perm = draw(st.permutations(range(count)))
+    labels = [f"e{perm[i]}" for i in range(count)]
+    return labels, [(perm[a], perm[b]) for a, b in pairs]
+
+
+@st.composite
+def bounded_posets(draw):
+    """A random poset with a bottom and a top added: mostly not a lattice.
+
+    Each element of a lower layer lies below about three quarters of an
+    upper layer, so two lower elements often share two minimal upper bounds.
+    """
+    low, high = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    cells = [(a, low + b) for a in range(low) for b in range(high)]
+    keep = draw(st.lists(st.integers(0, 3), min_size=len(cells), max_size=len(cells)))
+    m = low + high
+    n = m + 2
+    bottom, top = 0, n - 1
+    pairs = [(bottom, top)] + [(a + 1, b + 1) for (a, b), k in zip(cells, keep) if k]
+    pairs += [(bottom, e + 1) for e in range(m)] + [(e + 1, top) for e in range(m)]
+    return _shuffled(draw, n, pairs)
+
+
+@st.composite
+def dm_completions(draw):
+    """The Dedekind-MacNeille completion of a random poset: its cuts are the
+    intersections of principal down-sets, ordered by inclusion."""
+    m = draw(st.integers(0, 7))
+    rel = [(i, j) for i in range(m) for j in range(i + 1, m) if draw(st.booleans())]
+    down = [1 << e for e in range(m)]
+    for _ in range(m):  # transitive closure of the down-sets
+        for a, b in rel:
+            down[b] |= down[a]
+    cuts = {(1 << m) - 1}
+    frontier = list(cuts)
+    while frontier:
+        fresh = {c & d for c in frontier for d in down} - cuts
+        cuts |= fresh
+        frontier = list(fresh)
+    cuts = sorted(cuts)
+    pairs = [(i, j) for i, a in enumerate(cuts) for j, b in enumerate(cuts)
+             if i != j and a & ~b == 0]
+    return _shuffled(draw, len(cuts), pairs)
+
+
+def _reference_build(labels, pairs):
+    """Tables or the NotALattice of the frozen scan, over an order closed
+    by Warshall's algorithm with brute-force heights."""
+    n = len(labels)
+    leq = np.eye(n, dtype=bool)
+    for a, b in pairs:
+        leq[a, b] = True
+    for k in range(n):
+        leq |= leq[:, k, None] & leq[None, k, :]
+    heights = np.array(brute_heights(leq.tolist()))
+    try:
+        return scan_bound_tables(leq, heights, labels)
+    except NotALattice as exc:
+        return type(exc), str(exc), exc.witness
+
+
+def _build(labels, pairs):
+    try:
+        lat = build_lattice(labels, pairs)
+    except NotALattice as exc:
+        return type(exc), str(exc), exc.witness
+    return lat.meet_table, lat.join_table
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want[0], np.ndarray):
+        assert isinstance(got[0], np.ndarray), got
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    else:
+        assert got == want
+
+
+def _assert_deciders_match(lat):
+    for decide, scan in DECIDERS:
+        report = decide(lat)
+        assert report == scan(lat), (lat.name, report)
+        if not report.holds:
+            assert witness_violates(lat, report), (lat.name, report)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_posets())
+def test_build_lattice_matches_scan_on_bounded_posets(poset):
+    labels, pairs = poset
+    _assert_same_outcome(_build(labels, pairs), _reference_build(labels, pairs))
+
+
+@settings(max_examples=120, deadline=None)
+@given(dm_completions())
+def test_tables_and_deciders_match_scans_on_dm_completions(lattice):
+    labels, pairs = lattice
+    _assert_same_outcome(_build(labels, pairs), _reference_build(labels, pairs))
+    _assert_deciders_match(build_lattice(labels, pairs))
+
+
+def test_tables_and_deciders_match_scans_on_law_corpus(law_corpus):
+    for lat in law_corpus:
+        rebuilt = build_lattice(lat.labels, lat.upper_neighbors(), name=lat.name)
+        assert np.array_equal(rebuilt.meet_table, lat.meet_table), lat.name
+        assert np.array_equal(rebuilt.join_table, lat.join_table), lat.name
+        assert lat.tables_match_order(), lat.name
+        _assert_deciders_match(lat)
+        _assert_deciders_match(rebuilt)
+
+
+def test_single_element_steps_match(monkeypatch):
+    monkeypatch.setattr(core, "_STEP_ENTRIES", 1)
+    for lat in (boolean_lattice(5), subspace_lattice(2, 3), pentagon_n5(), chain(6)):
+        rebuilt = build_lattice(lat.labels, lat.upper_neighbors())
+        assert np.array_equal(rebuilt.meet_table, lat.meet_table), lat.name
+        assert np.array_equal(rebuilt.join_table, lat.join_table), lat.name
+        assert lat.tables_match_order(), lat.name
+    for lat in (pentagon_n5(), boolean_lattice(2)):
+        for table in ("meet", "join"):
+            for x, y, value in itertools.product(range(lat.size), repeat=3):
+                if value != (lat.meet(x, y) if table == "meet" else lat.join(x, y)):
+                    assert not _forged(lat, table, x, y, value).tables_match_order()
+    hexagon = ["0", "a", "b", "c", "d", "1"]
+    pairs = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]
+    with pytest.raises(NotALattice) as caught:
+        build_lattice(hexagon, pairs)
+    assert caught.value.witness == (1, 2)
+
+
+# ----- the premise gate -------------------------------------------------------
+
+
+def _forged(lat, table, x, y, value):
+    meet, join = lat.meet_table.copy(), lat.join_table.copy()
+    (meet if table == "meet" else join)[x, y] = value
+    return FiniteLattice(lat.labels, lat.leq.copy(), lat.bottom, lat.top, meet, join,
+                         name=f"{lat.name}:{table}[{x},{y}]={value}")
+
+
+def _intransitive(lat, x, y):
+    leq = lat.leq.copy()
+    leq[x, y] = False
+    return FiniteLattice(lat.labels, leq, lat.bottom, lat.top, lat.meet_table.copy(),
+                         lat.join_table.copy(), name=f"{lat.name}:not {x}<={y}")
+
+
+# Each forgery sits in a lattice whose order breaks the law too, so the
+# witness's order-based re-check applies.  The intransitive chain keeps
+# lattice tables, so its axioms still hold by scan.
+GATE_CASES = [
+    (check_lattice_axioms, scan_lattice_axioms, lambda: _forged(boolean_lattice(2), "meet", 1, 2, 3)),
+    (check_lattice_axioms, scan_lattice_axioms, lambda: _intransitive(chain(3), 0, 2)),
+    (is_distributive, scan_distributive, lambda: _forged(diamond_m3(), "join", 2, 3, 1)),
+    (is_distributive, scan_distributive, lambda: _intransitive(diamond_m3(), 0, 4)),
+    (is_modular, scan_modular, lambda: _forged(pentagon_n5(), "meet", 2, 3, 1)),
+    (is_modular, scan_modular, lambda: _intransitive(pentagon_n5(), 0, 4)),
+]
+
+
+@pytest.mark.parametrize("decide, scan, make", GATE_CASES)
+def test_premise_gate_falls_back_to_the_scan(decide, scan, make):
+    lat = make()
+    assert not lat.tables_match_order()
+    report = decide(lat)
+    assert report == scan(lat)
+    if not report.holds:
+        assert witness_violates(lat, report)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dm_completions(), st.sampled_from(["meet", "join"]), st.data())
+def test_any_forged_entry_fails_the_premise(lattice, table, data):
+    lat = build_lattice(*lattice)
+    assume(lat.size > 1)
+    x, y = data.draw(st.tuples(*[st.integers(0, lat.size - 1)] * 2))
+    true = int((lat.meet_table if table == "meet" else lat.join_table)[x, y])
+    value = data.draw(st.integers(0, lat.size - 1).filter(lambda v: v != true))
+    forged = _forged(lat, table, x, y, value)
+    assert not forged.tables_match_order()
+    for decide, scan in DECIDERS:
+        assert decide(forged) == scan(forged)
+
+
+def test_forged_table_over_a_distributive_order_fails_by_scan():
+    # The order is B_3's, so a decider that trusted the order alone would
+    # answer "holds"; {a} join {b} forged to {a,c} keeps the height law but
+    # breaks both laws in the tables.
+    lat = _forged(boolean_lattice(3), "join", 1, 2, 5)
+    assert satisfies_height_law(lat).holds
+    m, j = lat.meet_table, lat.join_table
+    distributive = is_distributive(lat)
+    assert distributive == scan_distributive(lat) and not distributive.holds
+    x, y, z = distributive.witness
+    assert m[x, j[y, z]] != j[m[x, y], m[x, z]]
+    modular = is_modular(lat)
+    assert modular == scan_modular(lat) and not modular.holds
+    x, y, z = modular.witness
+    assert lat.le(x, z) and j[x, m[y, z]] != m[j[x, y], z]
+
+
+# ----- the shared cover matrix ------------------------------------------------
+
+
+def test_cover_matrix_is_shared_and_read_only(law_corpus):
+    for lat in law_corpus:
+        covers = lat.covers
+        assert covers is lat.covers
+        assert not covers.flags.writeable
+        assert np.array_equal(covers, scan_cover_matrix(lat.leq)), lat.name
+        rebuilt = build_lattice(lat.labels, lat.upper_neighbors())
+        assert np.array_equal(rebuilt.covers, covers), lat.name
+    with pytest.raises(ValueError):
+        lat.covers[0, 0] = True
+
+
+def test_upper_neighbors_returns_a_fresh_list():
+    b3 = boolean_lattice(3)
+    first = b3.upper_neighbors()
+    first.clear()
+    assert len(b3.upper_neighbors()) == 12
+    assert b3.upper_neighbors() is not b3.upper_neighbors()
+
+
+# ----- bounds before work -----------------------------------------------------
+
+
+def _no_enumeration(*args, **kwargs):
+    raise AssertionError("subspaces were enumerated before the size check")
+
+
+@pytest.mark.parametrize("n, q", [(7, 2), (9, 2)])
+def test_subspace_count_is_bounded_before_enumeration(monkeypatch, capsys, n, q):
+    monkeypatch.setattr(generators, "_rref_bases", _no_enumeration)
+    count = sum(gaussian_binomial(n, k, q) for k in range(n + 1))
+    with pytest.raises(SizeBound, match=f"^{count} subspaces exceeds the cap of {element_cap()}$"):
+        subspace_lattice(n, q)
+    assert main(["gen", "subspace", "--n", str(n), "--q", str(q)]) == 2
+    assert "SizeBound" in capsys.readouterr().err
