@@ -17,7 +17,6 @@ import sys
 import time
 
 from .construction import verify_boolean_pipeline, verify_projective_pipeline
-from .core import FiniteLattice
 from .document import (
     LatticeDocument,
     document_from_lattice,
@@ -28,96 +27,30 @@ from .document import (
 )
 from .errors import LatticeError
 from .generators import boolean_lattice, chain, diamond_m3, pentagon_n5, subspace_lattice
-from .projective import (
-    check_p1,
-    check_p2,
-    check_p3_third_point,
-    check_spanning,
-    geometry_view,
-)
-from .props import (
-    Law,
-    LawReport,
-    check_lattice_axioms,
-    is_atomic,
-    is_complemented,
-    is_distributive,
-    is_modular,
-    is_perspective_lattice,
-    satisfies_height_law,
-)
-
-# Laws runnable without extra parameters, in report order.
-_PLAIN_LAWS = (
-    "axioms",
-    "distributive",
-    "modular",
-    "heightlaw",
-    "complemented",
-    "atomic",
-    "perspective",
-    "p1",
-    "p2",
-    "thirdpoint",
-)
-# Laws that additionally need --n.
-_SIZED_LAWS = ("spanning", "topheight")
+from .props import Law, LawReport
+from .witness import LAWS
 
 
 class _UsageError(Exception):
     pass
 
 
-def _run_law(lat: FiniteLattice, token: str, n: int | None) -> LawReport:
-    if token == "axioms":
-        return check_lattice_axioms(lat)
-    if token == "distributive":
-        return is_distributive(lat)
-    if token == "modular":
-        return is_modular(lat)
-    if token == "heightlaw":
-        return satisfies_height_law(lat)
-    if token == "complemented":
-        return is_complemented(lat)
-    if token == "atomic":
-        return is_atomic(lat)
-    if token == "perspective":
-        return is_perspective_lattice(lat)
-    if token == "p1":
-        return check_p1(geometry_view(lat))
-    if token == "p2":
-        return check_p2(geometry_view(lat))
-    if token == "thirdpoint":
-        return check_p3_third_point(geometry_view(lat))
-    if token == "spanning":
-        return check_spanning(lat, n)
-    if token == "topheight":
-        actual = lat.height(lat.top)
-        return LawReport(
-            Law.TOP_HEIGHT,
-            actual == n,
-            None,
-            f"top height {actual}, expected {n}",
-        )
-    raise _UsageError(f"unknown law {token!r}")
-
-
-def _parse_laws(requested: str, n: int | None) -> list[str]:
+def _requested_laws(requested: str, n: int | None) -> list[Law]:
     tokens = [t.strip() for t in requested.split(",") if t.strip()]
     if not tokens:
         raise _UsageError("no laws requested")
     if tokens == ["all"]:
-        return list(_PLAIN_LAWS)
-    known = set(_PLAIN_LAWS) | set(_SIZED_LAWS)
+        return [law for law, spec in LAWS.items() if not spec.needs_n]
+    known = {law.value for law in LAWS}
     for t in tokens:
         if t not in known:
             raise _UsageError(
                 f"unknown law {t!r}; choose from "
                 f"{', '.join(sorted(known))} or 'all'"
             )
-        if t in _SIZED_LAWS and n is None:
+        if LAWS[Law(t)].needs_n and n is None:
             raise _UsageError(f"law {t!r} requires --n")
-    return tokens
+    return [Law(t) for t in tokens]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -165,14 +98,13 @@ def _cmd_check(args) -> int:
     started = time.perf_counter()
     doc = _read_document(args.input)
     lat = document_to_lattice(doc)
-    tokens = _parse_laws(args.laws, args.n)
     results = {}
-    for token in tokens:
+    for law in _requested_laws(args.laws, args.n):
         try:
-            report = _run_law(lat, token, args.n)
+            report = LAWS[law].check(lat, args.n)
         except LatticeError as exc:
-            report = LawReport(Law(token), False, None, f"check aborted: {exc}")
-        results[token] = report.to_dict(lat)
+            report = LawReport(law, False, None, f"check aborted: {exc}")
+        results[law.value] = report.to_dict(lat)
     body = {
         "command": "check",
         "input": doc.name,

@@ -1,11 +1,11 @@
 """Partial join/meet structures and their realizations in concrete lattices.
 
 A :class:`PartialStructure` is a finite set of named constants together with
-statements about them: join equations, meet equations, disjointness, declared
-heights, and recorded chain bounds.  Structures always contain the constants
-``0`` and ``1`` with ``0 join 1 = 1``, and every statement set is closed under
-``0 join x = x`` and ``x join 1 = 1``.  Structures are immutable; every
-operation returns a new one.
+statements about them: join equations, meet equations, disjointness and
+declared heights.  Structures always contain the constants ``0`` and ``1``
+with ``0 join 1 = 1``, and every statement set is closed under ``0 join x = x``
+and ``x join 1 = 1``.  Structures are immutable; every operation returns a
+new one.
 
 Construction operations grow a structure step by step:
 
@@ -56,7 +56,6 @@ class StatementKind(enum.Enum):
     MEET_EQ = "meet"
     DISJOINT = "disjoint"
     HEIGHT_IS = "height"
-    CHAIN_BOUND = "chainbound"
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ class Statement:
     """One atomic fact about named constants.
 
     Commutative operand pairs are stored sorted, so equal facts compare equal.
-    ``value`` carries the height or chain bound; -1 means not applicable.
+    ``value`` carries the height; -1 means not applicable.
     """
 
     kind: StatementKind
@@ -87,9 +86,13 @@ class Statement:
     def height_is(a: str, h: int) -> "Statement":
         return Statement(StatementKind.HEIGHT_IS, (a,), h)
 
-    @staticmethod
-    def chain_bound(a: str, b: str, d: int) -> "Statement":
-        return Statement(StatementKind.CHAIN_BOUND, (min(a, b), max(a, b)), d)
+    def map(self, f) -> "Statement":
+        """The same fact with every operand renamed by ``f``, the commutative
+        operand pair sorted again."""
+        ops = tuple(f(o) for o in self.operands)
+        if len(ops) > 1:
+            ops = (min(ops[:2]), max(ops[:2])) + ops[2:]
+        return Statement(self.kind, ops, self.value)
 
     def sort_key(self):
         return (self.kind.value, self.operands, self.value)
@@ -174,12 +177,6 @@ class PartialStructure:
                         f"height {st.value} for {st.operands[0]!r} is outside "
                         f"the depth bound {self.depth_bound}"
                     )
-            if st.kind is StatementKind.CHAIN_BOUND:
-                if st.value < 0 or st.value > self.depth_bound:
-                    raise DepthExhausted(
-                        f"chain bound {st.value} exceeds the depth bound "
-                        f"{self.depth_bound}"
-                    )
             stmts.add(st)
         for c in all_consts:
             stmts.add(Statement.join_eq(self.zero, c, c))
@@ -215,25 +212,9 @@ class PartialStructure:
         new_consts = tuple(sub(c) for c in self.constants)
         if len(set(new_consts)) != len(new_consts):
             raise ValueError("renaming collides constants")
-        new_stmts = set()
-        for st in self.statements:
-            ops = st.operands
-            if st.kind in (StatementKind.JOIN_EQ, StatementKind.MEET_EQ):
-                new_stmts.add(
-                    Statement(st.kind, (min(sub(ops[0]), sub(ops[1])),
-                                        max(sub(ops[0]), sub(ops[1])),
-                                        sub(ops[2])), st.value)
-                )
-            elif st.kind in (StatementKind.DISJOINT, StatementKind.CHAIN_BOUND):
-                new_stmts.add(
-                    Statement(st.kind, (min(sub(ops[0]), sub(ops[1])),
-                                        max(sub(ops[0]), sub(ops[1]))), st.value)
-                )
-            else:
-                new_stmts.add(Statement(st.kind, (sub(ops[0]),), st.value))
         return PartialStructure(
             constants=new_consts,
-            statements=frozenset(new_stmts),
+            statements=frozenset(st.map(sub) for st in self.statements),
             depth_bound=self.depth_bound,
             zero=self.zero,
             one=self.one,
@@ -432,7 +413,6 @@ def satisfies(
         elif st.kind is StatementKind.HEIGHT_IS:
             if lat.height(ops[0]) != st.value:
                 return False
-        # chain bounds are recorded, not enforced
     return True
 
 
@@ -482,8 +462,6 @@ def find_realization(
 
     by_last: list[list[tuple[Statement, list[int]]]] = [[] for _ in consts]
     for st in structure.statements:
-        if st.kind is StatementKind.CHAIN_BOUND:
-            continue
         ps = [pos[o] for o in st.operands]
         by_last[max(ps)].append((st, ps))
 
@@ -528,7 +506,7 @@ def find_realization(
     return Realization(structure, lat, {c: int(assign[pos[c]]) for c in consts})
 
 
-# ----- boolean sublattices, covers, closure --------------------------------
+# ----- boolean sublattices, closure ---------------------------------------
 
 
 @dataclass(frozen=True)
@@ -622,26 +600,6 @@ def enumerate_boolean_sublattices(
     return [sub for mask, sub in subs if required & ~mask == 0]
 
 
-@dataclass(frozen=True, eq=False)
-class CoverPart:
-    """A substructure, a boolean sublattice extending it, and the embedding."""
-
-    constants: tuple[str, ...]
-    sublattice: BooleanSublattice
-    embedding: dict[str, ElementId]
-
-
-@dataclass(frozen=True, eq=False)
-class Cover:
-    """Maximal mutually-consistent family of boolean extensions."""
-
-    parts: tuple[CoverPart, ...]
-
-    def full_extensions(self, constants) -> list[CoverPart]:
-        target = tuple(sorted(constants))
-        return [p for p in self.parts if p.constants == target]
-
-
 def _anchored_realization(structure, ambient, realization):
     if realization is None:
         realization = find_realization(structure, ambient)
@@ -650,37 +608,6 @@ def _anchored_realization(structure, ambient, realization):
             f"structure has no realization in {ambient.name}"
         )
     return realization
-
-
-def covers_of(
-    structure: PartialStructure,
-    constants,
-    ambient: FiniteLattice,
-    realization: Realization | None = None,
-) -> list[Cover]:
-    """All maximal consistent families of boolean extensions of subsets of
-    ``constants`` inside the ambient lattice.
-
-    Embeddings are anchored to the canonical (lexicographically least)
-    realization, under which all admissible extensions agree pairwise, so
-    exactly one maximal family exists.
-    """
-    symbols = tuple(sorted(set(constants)))
-    for c in symbols:
-        if c not in structure.constants:
-            raise UnknownConstant(f"unknown constant {c!r}", witness=(c,))
-    if len(symbols) > MAX_SUBSTRUCTURE_CONSTANTS:
-        raise SizeBound(
-            f"covers are capped at {MAX_SUBSTRUCTURE_CONSTANTS} constants"
-        )
-    f = _anchored_realization(structure, ambient, realization)
-    parts = []
-    for r in range(1, len(symbols) + 1):
-        for group in itertools.combinations(symbols, r):
-            image = [f.mapping[c] for c in group]
-            for sub in enumerate_boolean_sublattices(ambient, image):
-                parts.append(CoverPart(group, sub, dict(zip(group, image))))
-    return [Cover(tuple(parts))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -938,6 +865,45 @@ def _closure_covers_lattice(lat: FiniteLattice, closure: ClosureResult) -> bool:
     return True
 
 
+def _tree_stages(
+    n: int, lat: FiniteLattice, stages: dict[str, dict]
+) -> tuple[PartialStructure, Realization] | None:
+    """Stages shared by both pipelines: realize the saturated split tree of
+    depth bound n in the target, then derive n independent atoms from it.
+    Returns the tree and its realization, or None when there is none."""
+    tree = saturate_splits(initial_structure(n))
+    f = find_realization(tree, lat)
+    stages["tree_realized"] = {
+        "ok": f is not None,
+        "detail": f"{len(tree.constants)} constants into {lat.name}",
+    }
+    if f is None:
+        return None
+
+    atoms = derive_independent_atoms(tree, lat, f)
+    atoms_ok = (
+        len(atoms) == n
+        and lat.join_all(atoms) == lat.top
+        and is_independent(lat, atoms)
+    )
+    stages["independent_atoms"] = {
+        "ok": atoms_ok,
+        "detail": f"{len(atoms)} atoms, join height {lat.height(lat.join_all(atoms))}",
+    }
+    return tree, f
+
+
+def _closure_statement(
+    closure: ClosureResult, kind: StatementKind, a: str, b: str
+) -> str | None:
+    """The result constant of the closure's ``a kind b`` statement, if any."""
+    pair = (min(a, b), max(a, b))
+    for st in closure.statements:
+        if st.kind is kind and st.operands[:2] == pair:
+            return st.operands[2]
+    return None
+
+
 def verify_boolean_pipeline(n: int) -> PipelineReport:
     """Grow a split tree under depth bound n, realize it in the powerset
     lattice B_n, derive n independent atoms, and recover all of B_n by
@@ -950,26 +916,11 @@ def verify_boolean_pipeline(n: int) -> PipelineReport:
     stages: dict[str, dict] = {}
     report = PipelineReport("boolean", {"n": n}, stages)
     lat = boolean_lattice(n)
-    tree = saturate_splits(initial_structure(n))
-    f = find_realization(tree, lat)
-    stages["tree_realized"] = {
-        "ok": f is not None,
-        "detail": f"{len(tree.constants)} constants into {lat.name}",
-    }
-    if f is None:
+    realized = _tree_stages(n, lat, stages)
+    if realized is None:
         return report
 
-    atoms = derive_independent_atoms(tree, lat, f)
-    atoms_ok = (
-        len(atoms) == n
-        and lat.join_all(atoms) == lat.top
-        and is_independent(lat, atoms)
-    )
-    stages["independent_atoms"] = {
-        "ok": atoms_ok,
-        "detail": f"{len(atoms)} atoms, join height {lat.height(lat.join_all(atoms))}",
-    }
-
+    tree, f = realized
     closure = boolean_closure(tree, tree.leaves(), lat, realization=f)
     closure_ok = closure is not None and _closure_covers_lattice(lat, closure)
     stages["closure_complete"] = {
@@ -1017,25 +968,9 @@ def verify_projective_pipeline(n: int, q: int) -> PipelineReport:
         else f"failing: {', '.join(character.failing())}",
     }
 
-    tree = saturate_splits(initial_structure(n))
-    f = find_realization(tree, lat)
-    stages["tree_realized"] = {
-        "ok": f is not None,
-        "detail": f"{len(tree.constants)} constants into {lat.name}",
-    }
-    if f is None:
+    realized = _tree_stages(n, lat, stages)
+    if realized is None:
         return report
-
-    atoms = derive_independent_atoms(tree, lat, f)
-    atoms_ok = (
-        len(atoms) == n
-        and lat.join_all(atoms) == lat.top
-        and is_independent(lat, atoms)
-    )
-    stages["independent_atoms"] = {
-        "ok": atoms_ok,
-        "detail": f"{len(atoms)} atoms, join height {lat.height(lat.join_all(atoms))}",
-    }
 
     view = geometry_view(lat)
     if n >= 2:
@@ -1085,11 +1020,7 @@ def verify_projective_pipeline(n: int, q: int) -> PipelineReport:
         if closure is None:
             joins_ok, detail = False, f"no boolean extension for atoms {p},{r}"
             break
-        join_name = None
-        for st in closure.statements:
-            if st.kind is StatementKind.JOIN_EQ and set(st.operands[:2]) == {"x", "y"}:
-                join_name = st.operands[2]
-                break
+        join_name = _closure_statement(closure, StatementKind.JOIN_EQ, "x", "y")
         expected_h = lat.height(lat.join(p, r))
         if (
             join_name is None
@@ -1125,14 +1056,7 @@ def verify_projective_pipeline(n: int, q: int) -> PipelineReport:
             if closure is None:
                 meets_ok, detail = False, f"no boolean extension for lines {l1},{l2}"
                 break
-            meet_name = None
-            for st in closure.statements:
-                if st.kind is StatementKind.MEET_EQ and set(st.operands[:2]) == {
-                    "l1",
-                    "l2",
-                }:
-                    meet_name = st.operands[2]
-                    break
+            meet_name = _closure_statement(closure, StatementKind.MEET_EQ, "l1", "l2")
             if (
                 meet_name is None
                 or Statement.height_is(meet_name, 1) not in closure.statements

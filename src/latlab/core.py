@@ -2,7 +2,7 @@
 
 A :class:`FiniteLattice` stores element labels, the full ``leq`` relation as a
 boolean matrix, the global bottom and top, total meet/join tables, and, once
-first needed, its cover matrix.
+first needed, its element heights and cover matrix.
 Elements are addressed by index (``ElementId``); labels exist for rendering.
 Instances are immutable after construction: all arrays are marked read-only.
 
@@ -14,6 +14,7 @@ witness, and computes the tables by recursion over covers.  Generators elsewhere
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +87,7 @@ class FiniteLattice:
         self.top = int(top)
         self.meet_table = np.ascontiguousarray(meet_table, dtype=np.int32)
         self.join_table = np.ascontiguousarray(join_table, dtype=np.int32)
-        self.heights = _longest_chain_heights(self.leq, self.bottom)
-        for arr in (self.leq, self.meet_table, self.join_table, self.heights):
+        for arr in (self.leq, self.meet_table, self.join_table):
             arr.setflags(write=False)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._covers: np.ndarray | None = None
@@ -107,6 +107,21 @@ class FiniteLattice:
 
     def join(self, x: ElementId, y: ElementId) -> ElementId:
         return int(self.join_table[x, y])
+
+    @functools.cached_property
+    def heights(self) -> np.ndarray:
+        """Read-only longest-chain heights from bottom, per element.
+
+        Computed on first use, unless a constructor that already knows them
+        seeded them, and shared by every caller.
+        """
+        heights = _longest_chain_heights(self.leq, self.bottom)
+        heights.setflags(write=False)
+        return heights
+
+    def _set_heights(self, heights: np.ndarray) -> None:
+        heights.setflags(write=False)
+        self.heights = heights
 
     def height(self, x: ElementId) -> int:
         """Length of the longest chain from bottom to x."""
@@ -383,6 +398,7 @@ def build_lattice(labels, leq_pairs, name="") -> FiniteLattice:
         # The scan names the lexicographically first pair without a bound.
         tables = _scan_bound_tables(leq, heights, labels)
     lat = FiniteLattice(labels, leq, bottom, top, *tables, name=name)
+    lat._set_heights(heights)
     lat._set_covers(covers)
     lat._tables_match_order = True
     return lat

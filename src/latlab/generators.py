@@ -2,15 +2,15 @@
 
 Powerset (boolean) lattices, subspace lattices of prime-field vector spaces,
 and the small named fixtures: the diamond M3, the pentagon N5, and chains.
-Generated lattices come with closed-form tables; the validating path through
-build_lattice is reserved for the tiny fixtures and user input.
+Generated lattices come with closed-form tables and heights (subset size,
+dimension); the validating path through build_lattice is reserved for the
+tiny fixtures and user input.
 """
 
 from __future__ import annotations
 
 import itertools
 import string
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,32 +39,15 @@ def boolean_lattice(n: int) -> FiniteLattice:
     meet = idx[:, None] & idx[None, :]
     join = idx[:, None] | idx[None, :]
     leq = meet == idx[:, None]
-    return FiniteLattice(labels, leq, 0, size - 1, meet, join, name=f"B_{n}")
+    lat = FiniteLattice(labels, leq, 0, size - 1, meet, join, name=f"B_{n}")
+    lat._set_heights(sum((idx >> i) & 1 for i in range(n)).astype(np.int32))
+    return lat
 
 
 def _is_prime(q: int) -> bool:
     if q < 2:
         return False
     return all(q % d for d in range(2, int(q**0.5) + 1))
-
-
-@dataclass(frozen=True)
-class SubspaceLatticeSpec:
-    """Parameters of a subspace lattice: dimension and prime field order."""
-
-    dimension: int
-    field_order: int
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if not _is_prime(self.field_order):
-            raise ValueError(f"field order {self.field_order} is not prime")
-        if self.field_order**self.dimension > MAX_VECTORS:
-            raise SizeBound(
-                f"{self.field_order}^{self.dimension} vectors exceeds "
-                f"the cap of {MAX_VECTORS}"
-            )
 
 
 def _gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -121,8 +104,13 @@ def subspace_lattice(dimension: int, field_order: int) -> FiniteLattice:
     Subspaces are keyed by their reduced-row-echelon basis, so element order
     and labels are canonical.
     """
-    spec = SubspaceLatticeSpec(dimension, field_order)
-    n, q = spec.dimension, spec.field_order
+    n, q = dimension, field_order
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    if not _is_prime(q):
+        raise ValueError(f"field order {q} is not prime")
+    if q**n > MAX_VECTORS:
+        raise SizeBound(f"{q}^{n} vectors exceeds the cap of {MAX_VECTORS}")
     size = sum(_gaussian_binomial(n, k, q) for k in range(n + 1))
     cap = element_cap()
     if size > cap:
@@ -164,9 +152,11 @@ def subspace_lattice(dimension: int, field_order: int) -> FiniteLattice:
         cu = leq[x][None, :] & leq
         join[x] = np.where(cu, dims[None, :], big).argmin(axis=1)
 
-    return FiniteLattice(
+    lat = FiniteLattice(
         labels, leq, 0, size - 1, meet, join, name=f"subspaces_{n}_{q}"
     )
+    lat._set_heights(dims)
+    return lat
 
 
 def diamond_m3() -> FiniteLattice:

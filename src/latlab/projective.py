@@ -17,14 +17,7 @@ import numpy as np
 from .core import ElementId, FiniteLattice
 from .errors import NotAtomic, NotAtoms, NotGraded, SizeBound
 from .limits import MAX_INDEPENDENCE_ATOMS
-from .props import (
-    Law,
-    LawReport,
-    PerspectivityMode,
-    is_atomic,
-    is_modular,
-    is_perspective_lattice,
-)
+from .props import Law, LawReport, is_atomic
 
 
 @dataclass(frozen=True)
@@ -185,36 +178,37 @@ class CharacterizationReport:
         }
 
 
+# Clause names of the characterization, in report order.
+_BVN_CLAUSES = (
+    ("modular", Law.MODULAR),
+    ("atomic", Law.ATOMIC),
+    ("perspective", Law.PERSPECTIVE),
+    ("top_height", Law.TOP_HEIGHT),
+    ("p1", Law.P1),
+    ("p2", Law.P2),
+    ("third_point", Law.THIRD_POINT),
+    ("spanning", Law.SPANNING),
+)
+
+
 def verify_bvn_characterization(lat: FiniteLattice, n: int) -> CharacterizationReport:
     """Check the full profile: modular, atomic, perspective atoms, top height
     n, and the incidence axioms with n-point spanning.  Never raises; clauses
     that cannot even be evaluated are reported as failing."""
+    from .witness import LAWS  # witness imports this module
+
     clauses: dict[str, LawReport] = {}
-    clauses["modular"] = is_modular(lat)
-    clauses["atomic"] = is_atomic(lat)
-    clauses["perspective"] = is_perspective_lattice(
-        lat, PerspectivityMode.ATOMS_ONLY
-    )
-    top_h = lat.height(lat.top)
-    clauses["top_height"] = LawReport(
-        Law.TOP_HEIGHT, top_h == n, None, f"height(top)={top_h}, expected {n}"
-    )
-    try:
-        view = geometry_view(lat)
-        clauses["p1"] = check_p1(view)
-        clauses["p2"] = check_p2(view)
-        clauses["third_point"] = check_p3_third_point(view)
-    except NotGraded as exc:
-        for name, law in (
-            ("p1", Law.P1),
-            ("p2", Law.P2),
-            ("third_point", Law.THIRD_POINT),
-        ):
+    for name, law in _BVN_CLAUSES:
+        if law is Law.TOP_HEIGHT:
+            top_h = lat.height(lat.top)
+            clauses[name] = LawReport(
+                law, top_h == n, None, f"height(top)={top_h}, expected {n}"
+            )
+            continue
+        try:
+            clauses[name] = LAWS[law].check(lat, n)
+        except NotGraded as exc:
             clauses[name] = LawReport(law, False, None, f"not graded: {exc}")
-    try:
-        clauses["spanning"] = check_spanning(lat, n)
-    except NotAtomic as exc:
-        clauses["spanning"] = LawReport(
-            Law.SPANNING, False, None, f"not atomic: {exc}"
-        )
+        except NotAtomic as exc:
+            clauses[name] = LawReport(law, False, None, f"not atomic: {exc}")
     return CharacterizationReport(clauses)

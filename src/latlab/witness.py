@@ -1,28 +1,60 @@
-"""Independent re-evaluation of law violations.
+"""The law registry, and independent re-evaluation of law violations.
 
-These helpers recompute bounds and heights straight from the order relation
-(never from the stored tables, except for the table-level axioms) so a
-witness returned by a checker can be confirmed without trusting the checker.
+:data:`LAWS` maps every :class:`Law` to its checker and to the re-check of
+its witnesses; the CLI, :func:`latlab.projective.verify_bvn_characterization`
+and :func:`witness_violates` all read it.  The re-checks recompute bounds
+and heights straight from the order relation (never from the stored tables,
+except for the table-level axioms) so a witness returned by a checker can be
+confirmed without trusting the checker.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .core import ElementId, FiniteLattice
-from .props import Law, LawReport
+from .projective import (
+    check_p1,
+    check_p2,
+    check_p3_third_point,
+    check_spanning,
+    geometry_view,
+)
+from .props import (
+    Law,
+    LawReport,
+    check_lattice_axioms,
+    is_atomic,
+    is_complemented,
+    is_distributive,
+    is_modular,
+    is_perspective_lattice,
+    satisfies_height_law,
+)
 
 
-def order_meet(lat: FiniteLattice, x: ElementId, y: ElementId) -> ElementId | None:
+class _Unbounded(Exception):
+    """The order lacks a bound that a witness re-check needs."""
+
+
+def order_meet(lat: FiniteLattice, x: ElementId, y: ElementId) -> ElementId:
+    """Greatest lower bound read off the order; raises if there is none."""
     lows = [z for z in range(lat.size) if lat.le(z, x) and lat.le(z, y)]
     tops = [z for z in lows if all(lat.le(w, z) for w in lows)]
-    return tops[0] if len(tops) == 1 else None
+    if len(tops) != 1:
+        raise _Unbounded
+    return tops[0]
 
 
-def order_join(lat: FiniteLattice, x: ElementId, y: ElementId) -> ElementId | None:
+def order_join(lat: FiniteLattice, x: ElementId, y: ElementId) -> ElementId:
+    """Least upper bound read off the order; raises if there is none."""
     ups = [z for z in range(lat.size) if lat.le(x, z) and lat.le(y, z)]
     lows = [z for z in ups if all(lat.le(z, w) for w in ups)]
-    return lows[0] if len(lows) == 1 else None
+    if len(lows) != 1:
+        raise _Unbounded
+    return lows[0]
 
 
 def chain_height(lat: FiniteLattice, x: ElementId) -> int:
@@ -145,26 +177,70 @@ def _violates_spanning(lat, witness) -> bool:
     return out == lat.top
 
 
-_DISPATCH = {
-    Law.LATTICE_AXIOMS: _violates_axioms,
-    Law.DISTRIBUTIVE: _violates_distributive,
-    Law.MODULAR: _violates_modular,
-    Law.HEIGHT_LAW: _violates_height_law,
-    Law.COMPLEMENTED: _violates_complemented,
-    Law.ATOMIC: _violates_atomic,
-    Law.PERSPECTIVE: _violates_perspective,
-    Law.P1: _violates_p1,
-    Law.P2: _violates_p2,
-    Law.THIRD_POINT: _violates_third_point,
-    Law.SPANNING: _violates_spanning,
+def _top_height(lat: FiniteLattice, n: int) -> LawReport:
+    actual = lat.height(lat.top)
+    return LawReport(
+        Law.TOP_HEIGHT, actual == n, None, f"top height {actual}, expected {n}"
+    )
+
+
+@dataclass(frozen=True)
+class LawSpec:
+    """How one law is checked and how its witnesses are re-checked.
+
+    ``check(lat, n)`` returns the law's report; ``n``, the target height of
+    the top, is read only by laws with ``needs_n``.  ``violates(lat,
+    witness)`` re-evaluates a failure witness from the order alone, and is
+    None for a law whose reports carry no witness.
+    """
+
+    check: Callable[[FiniteLattice, int | None], LawReport]
+    violates: Callable[[FiniteLattice, tuple[ElementId, ...]], bool] | None
+    needs_n: bool = False
+
+
+# Entries call the checkers through their module-level names, so whatever
+# rebinds those names (a tracer, a test double) sees every registry call.
+LAWS: dict[Law, LawSpec] = {
+    Law.LATTICE_AXIOMS: LawSpec(
+        lambda lat, n: check_lattice_axioms(lat), _violates_axioms
+    ),
+    Law.DISTRIBUTIVE: LawSpec(
+        lambda lat, n: is_distributive(lat), _violates_distributive
+    ),
+    Law.MODULAR: LawSpec(lambda lat, n: is_modular(lat), _violates_modular),
+    Law.HEIGHT_LAW: LawSpec(
+        lambda lat, n: satisfies_height_law(lat), _violates_height_law
+    ),
+    Law.COMPLEMENTED: LawSpec(
+        lambda lat, n: is_complemented(lat), _violates_complemented
+    ),
+    Law.ATOMIC: LawSpec(lambda lat, n: is_atomic(lat), _violates_atomic),
+    Law.PERSPECTIVE: LawSpec(
+        lambda lat, n: is_perspective_lattice(lat), _violates_perspective
+    ),
+    Law.P1: LawSpec(lambda lat, n: check_p1(geometry_view(lat)), _violates_p1),
+    Law.P2: LawSpec(lambda lat, n: check_p2(geometry_view(lat)), _violates_p2),
+    Law.THIRD_POINT: LawSpec(
+        lambda lat, n: check_p3_third_point(geometry_view(lat)),
+        _violates_third_point,
+    ),
+    Law.SPANNING: LawSpec(
+        lambda lat, n: check_spanning(lat, n), _violates_spanning, needs_n=True
+    ),
+    Law.TOP_HEIGHT: LawSpec(_top_height, None, needs_n=True),
 }
 
 
 def witness_violates(lat: FiniteLattice, report: LawReport) -> bool:
-    """True iff the report's witness really violates the reported law."""
-    if report.holds or report.witness is None:
+    """True iff the report's witness really violates the reported law.
+
+    A witness whose re-check needs a bound the order lacks stays unconfirmed.
+    """
+    violates = LAWS[report.law].violates
+    if report.holds or report.witness is None or violates is None:
         return False
-    fn = _DISPATCH.get(report.law)
-    if fn is None:
+    try:
+        return bool(violates(lat, tuple(int(w) for w in report.witness)))
+    except _Unbounded:
         return False
-    return bool(fn(lat, tuple(int(w) for w in report.witness)))

@@ -165,7 +165,7 @@ def naive_realization_exists(structure, lat):
     pool = [e for e in range(lat.size) if e not in (lat.bottom, lat.top)]
     if len(free) > len(pool):
         return False
-    stmts = [s for s in structure.statements if s.kind is not StatementKind.CHAIN_BOUND]
+    stmts = structure.statements
 
     for image in itertools.permutations(pool, len(free)):
         mapping = dict(fixed)
@@ -203,7 +203,7 @@ def all_realizations(structure, lat):
     fixed = {structure.zero: lat.bottom, structure.one: lat.top}
     free = [c for c in consts if c not in fixed]
     pool = [e for e in range(lat.size) if e not in (lat.bottom, lat.top)]
-    stmts = [s for s in structure.statements if s.kind is not StatementKind.CHAIN_BOUND]
+    stmts = structure.statements
     found = []
     for image in itertools.permutations(pool, len(free)):
         mapping = dict(fixed)

@@ -9,27 +9,20 @@ import itertools
 import json
 
 from latlab import (
+    Law,
     apply_closure,
     atom_pair_structure,
     boolean_closure,
     boolean_lattice,
     build_tree,
     chain,
-    check_p1,
-    check_p2,
-    check_p3_third_point,
-    check_spanning,
     coplanar_lines_structure,
     derive_independent_atoms,
     diamond_m3,
     find_realization,
     geometry_view,
     initial_structure,
-    is_atomic,
-    is_complemented,
-    is_distributive,
     is_modular,
-    is_perspective_lattice,
     line_probe_structure,
     pentagon_n5,
     satisfies,
@@ -44,6 +37,7 @@ from latlab import (
     witness_violates,
 )
 from latlab.cli import main
+from latlab.witness import LAWS
 
 from conftest import record_criterion
 from oracles import (
@@ -57,28 +51,12 @@ from oracles import (
 # ----- criterion 1: exact law separation matrix ------------------------------
 
 
-def _law_report(lat, token):
-    if token == "distributive":
-        return is_distributive(lat)
-    if token == "modular":
-        return is_modular(lat)
-    if token == "heightlaw":
-        return satisfies_height_law(lat)
-    if token == "complemented":
-        return is_complemented(lat)
-    if token == "atomic":
-        return is_atomic(lat)
-    if token == "perspective":
-        return is_perspective_lattice(lat)
-    if token == "p1":
-        return check_p1(geometry_view(lat))
-    if token == "p2":
-        return check_p2(geometry_view(lat))
-    if token == "thirdpoint":
-        return check_p3_third_point(geometry_view(lat))
+def _registry_report(lat, token):
+    """The registry's report for a matrix column; ``spanning3`` is the
+    spanning law with n = 3."""
     if token == "spanning3":
-        return check_spanning(lat, 3)
-    raise AssertionError(token)
+        return LAWS[Law.SPANNING].check(lat, 3)
+    return LAWS[Law(token)].check(lat, None)
 
 
 def _separation_matrix():
@@ -122,7 +100,7 @@ def test_criterion_1_law_separation_matrix():
     for lat, expected in _separation_matrix():
         for token, want in expected.items():
             checked += 1
-            report = _law_report(lat, token)
+            report = _registry_report(lat, token)
             if report.holds is not want:
                 mismatches.append((lat.name, token, report.holds, want))
     ok = not mismatches and checked == 41
@@ -380,7 +358,7 @@ def test_criterion_8_failure_witnesses_are_sound():
     failures = []
     for lat, expected in _separation_matrix():
         for token in expected:
-            report = _law_report(lat, token)
+            report = _registry_report(lat, token)
             if not report.holds:
                 failures.append((lat, report))
     problems = []

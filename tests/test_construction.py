@@ -23,7 +23,6 @@ from latlab import (
     build_tree,
     chain,
     coplanar_lines_structure,
-    covers_of,
     derive_independent_atoms,
     diamond_m3,
     enumerate_boolean_sublattices,
@@ -64,7 +63,6 @@ def test_statement_canonical_operand_order():
     assert Statement.meet_eq("b", "a", "c").operands == ("a", "b", "c")
     assert Statement.disjoint("q", "p").operands == ("p", "q")
     assert Statement.height_is("x", 4).value == 4
-    assert Statement.chain_bound("b", "a", 3).operands == ("a", "b")
 
 
 def test_initial_structure_contents():
@@ -90,8 +88,6 @@ def test_extend_height_validation():
         s.extend(statements=(Statement.height_is("1", 9),))
     with pytest.raises(ValueError):
         s.extend(statements=(Statement.height_is("1", 1),))
-    with pytest.raises(DepthExhausted):
-        s.extend(statements=(Statement.chain_bound("0", "1", 99),))
 
 
 def test_split_element_even_by_default():
@@ -246,15 +242,7 @@ def test_realization_caps():
         find_realization(wide, boolean_lattice(2))
 
 
-def test_chain_bounds_are_recorded_not_enforced():
-    s = initial_structure(2).extend(
-        statements=(Statement.chain_bound("0", "1", 1),)
-    )
-    assert Statement.chain_bound("0", "1", 1) in s.statements
-    assert find_realization(s, boolean_lattice(2)) is not None
-
-
-# ----- boolean sublattices, covers, closures --------------------------------
+# ----- boolean sublattices, closures ---------------------------------------
 
 
 def _is_boolean_sublattice(lat, elements):
@@ -303,33 +291,20 @@ def test_sublattice_enumeration_cap():
         enumerate_boolean_sublattices(boolean_lattice(8))
 
 
-def test_covers_on_the_two_chain():
-    two = chain(2)
-    s = initial_structure(1)
-    covers = covers_of(s, ("0", "1"), two)
-    assert len(covers) == 1
-    assert len(covers[0].parts) == 3
-    full = covers[0].full_extensions(("0", "1"))
-    assert len(full) == 1 and set(full[0].embedding) == {"0", "1"}
-
-
-def test_covers_guards():
+def test_closure_guards():
     t = build_tree(3)
     with pytest.raises(UnknownConstant):
-        covers_of(build_tree(1), ("nope",), boolean_lattice(2))
+        boolean_closure(build_tree(1), ("nope",), boolean_lattice(2))
     with pytest.raises(SizeBound):
-        covers_of(t, t.constants, boolean_lattice(3))
+        boolean_closure(t, t.constants, boolean_lattice(3))
     with pytest.raises(RealizationMissing):
-        covers_of(build_tree(1), ("p1",), boolean_lattice(3))
+        boolean_closure(build_tree(1), ("p1",), boolean_lattice(3))
 
 
 def test_three_leaf_closure_recovers_the_whole_cube():
     t = three_leaf_tree()
     b3 = boolean_lattice(3)
     assert t.leaves() == ("c1", "b2", "c2")
-    covers = covers_of(t, t.leaves(), b3)
-    full = covers[0].full_extensions(t.leaves())
-    assert len(full) == 1 and len(full[0].sublattice.elements) == 8
     clo = boolean_closure(t, t.leaves(), b3)
     assert clo.new_constants == ("q1", "q2")
     assert len(clo.elements) == 8

@@ -19,6 +19,7 @@ from latlab import (
     pentagon_n5,
     subspace_lattice,
 )
+from latlab import core
 from latlab.limits import chain_cap, element_cap
 
 from oracles import brute_chains, brute_heights, brute_join, brute_meet, leq_rows
@@ -125,8 +126,8 @@ def test_order_equivalences(lat_builder):
 
 
 def test_heights_match_longest_chain_oracle():
-    for lat in [boolean_lattice(4), subspace_lattice(3, 2), pentagon_n5(),
-                diamond_m3(), chain(5)]:
+    for lat in [boolean_lattice(1), boolean_lattice(4), subspace_lattice(2, 3),
+                subspace_lattice(3, 2), pentagon_n5(), diamond_m3(), chain(5)]:
         assert list(lat.heights) == brute_heights(leq_rows(lat))
 
 
@@ -176,6 +177,23 @@ def test_every_boolean_element_has_exactly_one_complement():
         b = boolean_lattice(n)
         for x in range(b.size):
             assert len(b.complements_of(x)) == 1
+
+
+def test_build_lattice_computes_heights_once(monkeypatch):
+    labels, pairs, sets = powerset_pairs()
+    expected = [len(s) for s in sets]
+    calls = []
+    original = core._longest_chain_heights
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(core, "_longest_chain_heights", counted)
+    lat = build_lattice(labels, pairs)
+    assert [lat.height(e) for e in range(lat.size)] == expected
+    assert lat.heights.tolist() == expected
+    assert len(calls) == 1
 
 
 def test_lattice_is_immutable():

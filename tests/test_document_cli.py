@@ -15,7 +15,9 @@ from latlab import (
     lattice_to_dot,
     parse_document,
 )
-from latlab.cli import main
+from latlab import Law
+from latlab.cli import _requested_laws, main
+from latlab.witness import LAWS
 
 
 # ----- documents ------------------------------------------------------------
@@ -181,6 +183,15 @@ def test_check_unknown_law_token(tmp_path, capsys):
     path = _gen(tmp_path, "gen", "m3")
     assert main(["check", path, "--laws", "bogus"]) == 2
     assert "unknown law 'bogus'" in capsys.readouterr().err
+
+
+def test_law_registry_drives_the_law_tokens():
+    assert list(LAWS) == list(Law)
+    plain = ("axioms", "distributive", "modular", "heightlaw", "complemented",
+             "atomic", "perspective", "p1", "p2", "thirdpoint")
+    assert tuple(law.value for law in _requested_laws("all", None)) == plain
+    assert {law.value for law, spec in LAWS.items() if spec.needs_n} == {
+        "spanning", "topheight"}
 
 
 def test_verify_exit_codes(capsys):

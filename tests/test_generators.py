@@ -3,7 +3,6 @@ import pytest
 
 from latlab import (
     SizeBound,
-    SubspaceLatticeSpec,
     boolean_lattice,
     chain,
     diamond_m3,
@@ -111,8 +110,6 @@ def test_subspace_parameter_validation():
         subspace_lattice(2, 1)
     with pytest.raises(SizeBound):
         subspace_lattice(9, 7)  # 7^9 vectors is over the cap
-    spec = SubspaceLatticeSpec(3, 2)
-    assert spec.dimension == 3 and spec.field_order == 2
 
 
 def test_small_counterexample_shapes():

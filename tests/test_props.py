@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from latlab import (
     FiniteLattice,
     Law,
+    NotAtomic,
+    NotGraded,
     PerspectivityMode,
     boolean_lattice,
     chain,
@@ -23,6 +25,7 @@ from latlab import (
     subspace_lattice,
     witness_violates,
 )
+from latlab.witness import LAWS
 
 from oracles import brute_heights, leq_rows
 
@@ -157,12 +160,31 @@ def test_implication_chain_on_corpus(law_corpus):
 
 
 def test_failing_witnesses_rebreak_their_laws(law_corpus):
+    checked = set()
     for lat in law_corpus:
-        for report in (is_distributive(lat), is_modular(lat),
-                       satisfies_height_law(lat), is_complemented(lat),
-                       is_atomic(lat), is_perspective_lattice(lat)):
+        n = lat.height(lat.top)
+        for law, spec in LAWS.items():
+            try:
+                report = spec.check(lat, n)
+            except (NotGraded, NotAtomic):
+                continue  # the geometric laws need a graded, atomic lattice
+            assert report.law is law, (lat.name, law)
+            checked.add(law)
             if not report.holds and report.witness is not None:
-                assert witness_violates(lat, report), (lat.name, report.law)
+                assert witness_violates(lat, report), (lat.name, law)
+    assert checked == set(Law)
+
+
+def test_witness_over_a_missing_bound_stays_unconfirmed():
+    n5 = pentagon_n5()
+    leq = n5.leq.copy()
+    leq[0, 3] = False  # bottom no longer below c, so c meet b does not exist
+    forged = FiniteLattice(
+        n5.labels, leq, n5.bottom, n5.top, n5.meet_table, n5.join_table
+    )
+    report = is_distributive(forged)
+    assert report.witness == (3, 1, 2)
+    assert witness_violates(forged, report) is False
 
 
 @settings(max_examples=60, deadline=None)
