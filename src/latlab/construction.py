@@ -154,8 +154,9 @@ class PartialStructure:
         """New structure with extra constants and statements.
 
         Closure statements for the new constants are added automatically.
-        Raises UnknownConstant for statements about undeclared constants and
-        DepthExhausted for declared heights above the depth bound.
+        Raises UnknownConstant for statements about undeclared constants,
+        DepthExhausted for declared heights above the depth bound, and
+        ValueError for a height that contradicts one already declared.
         """
         new_consts = tuple(constants)
         for c in new_consts:
@@ -165,6 +166,7 @@ class PartialStructure:
         known = set(all_consts)
 
         stmts = set(self.statements)
+        declared: dict[str, int] = {}  # new heights of constants self has none for
         for st in statements:
             for op in st.operands:
                 if op not in known:
@@ -172,25 +174,24 @@ class PartialStructure:
                         f"statement names unknown constant {op!r}", witness=(op,)
                     )
             if st.kind is StatementKind.HEIGHT_IS:
+                symbol = st.operands[0]
                 if st.value < 0 or st.value > self.depth_bound:
                     raise DepthExhausted(
-                        f"height {st.value} for {st.operands[0]!r} is outside "
+                        f"height {st.value} for {symbol!r} is outside "
                         f"the depth bound {self.depth_bound}"
+                    )
+                # Only new heights can conflict; the existing one is named first.
+                prev = self._heights.get(symbol)
+                if prev is None:
+                    prev = declared.setdefault(symbol, st.value)
+                if prev != st.value:
+                    raise ValueError(
+                        f"conflicting heights {prev} and {st.value} for {symbol!r}"
                     )
             stmts.add(st)
         for c in all_consts:
             stmts.add(Statement.join_eq(self.zero, c, c))
             stmts.add(Statement.join_eq(c, self.one, self.one))
-
-        declared: dict[str, int] = {}
-        for st in stmts:
-            if st.kind is StatementKind.HEIGHT_IS:
-                prev = declared.setdefault(st.operands[0], st.value)
-                if prev != st.value:
-                    raise ValueError(
-                        f"conflicting heights {prev} and {st.value} "
-                        f"for {st.operands[0]!r}"
-                    )
 
         return PartialStructure(
             constants=all_consts,

@@ -9,7 +9,7 @@ Instances are immutable after construction: all arrays are marked read-only.
 :func:`build_lattice` is the validating constructor: it closes the given
 relation reflexively and transitively, rejects cycles and non-lattices with a
 witness, and computes the tables by recursion over covers.  Generators elsewhere in the package reuse
-:class:`FiniteLattice` directly with closed-form tables.
+:class:`FiniteLattice` directly, seeding closed-form heights and covers.
 """
 
 from __future__ import annotations
@@ -48,20 +48,19 @@ def _transitive_closure(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cur = nxt
 
 
-def _cover_matrix(leq: np.ndarray) -> np.ndarray:
-    """[x, y] iff x < y with nothing strictly between."""
-    strict = leq & ~np.eye(leq.shape[0], dtype=bool)
-    via = (strict.astype(np.float32) @ strict.astype(np.float32)) > 0.5
-    return strict & ~via
-
-
 def _covers_from_square(leq: np.ndarray, square: np.ndarray) -> np.ndarray:
-    """Cover matrix of a partial order from ``leq @ leq``: x < y is a cover
-    iff x and y are the only z with x <= z <= y."""
+    """Cover matrix of a reflexive relation from ``leq @ leq``: x < y is a
+    cover iff x and y are the only z with x <= z <= y."""
     return leq & (square < 2.5) & ~np.eye(leq.shape[0], dtype=bool)
 
 
-def _longest_chain_heights(leq: np.ndarray, bottom: int) -> np.ndarray:
+def _graded_covers(leq: np.ndarray, heights: np.ndarray) -> np.ndarray:
+    """Cover matrix of a graded order with its rank function: x < y is a
+    cover iff x <= y and y sits exactly one rank above x."""
+    return leq & (heights[None, :] == heights[:, None] + 1)
+
+
+def _longest_chain_heights(leq: np.ndarray) -> np.ndarray:
     n = leq.shape[0]
     strict = leq & ~np.eye(n, dtype=bool)
     # y < x implies below(y) is a proper subset of below(x), so sorting by
@@ -90,7 +89,6 @@ class FiniteLattice:
         for arr in (self.leq, self.meet_table, self.join_table):
             arr.setflags(write=False)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        self._covers: np.ndarray | None = None
         self._tables_match_order: bool | None = None
 
     def __repr__(self):
@@ -115,7 +113,7 @@ class FiniteLattice:
         Computed on first use, unless a constructor that already knows them
         seeded them, and shared by every caller.
         """
-        heights = _longest_chain_heights(self.leq, self.bottom)
+        heights = _longest_chain_heights(self.leq)
         heights.setflags(write=False)
         return heights
 
@@ -148,22 +146,25 @@ class FiniteLattice:
             out = int(self.meet_table[out, x])
         return out
 
-    @property
+    @functools.cached_property
     def covers(self) -> np.ndarray:
         """Read-only cover matrix: [x, y] iff x < y with nothing between.
 
-        Computed on first use and shared by every caller.
+        Computed on first use, unless a constructor that already knows it
+        seeded it, and shared by every caller.
         """
-        if self._covers is None:
-            self._set_covers(_cover_matrix(self.leq))
-        return self._covers
+        f = self.leq.astype(np.float32)
+        covers = _covers_from_square(self.leq, f @ f)
+        covers.setflags(write=False)
+        return covers
 
     def _set_covers(self, covers: np.ndarray) -> None:
         covers.setflags(write=False)
-        self._covers = covers
+        self.covers = covers
 
     def upper_neighbors(self) -> list[tuple[ElementId, ElementId]]:
-        """Cover pairs (x, y): x < y with nothing strictly between."""
+        """Cover pairs (x, y): x < y with nothing strictly between, in
+        ascending (x, y) order."""
         return [(int(x), int(y)) for x, y in np.argwhere(self.covers)]
 
     def tables_match_order(self) -> bool:
@@ -186,12 +187,9 @@ class FiniteLattice:
         if (leq & leq.T & ~np.eye(self.size, dtype=bool)).any():
             return False
         f = leq.astype(np.float32)
-        square = f @ f
-        if ((square > 0.5) & ~leq).any():
+        if (((f @ f) > 0.5) & ~leq).any():
             return False
-        if self._covers is None:
-            self._set_covers(_covers_from_square(leq, square))
-        covers = self._covers
+        covers = self.covers
         return _is_join_table(leq, covers, self.join_table) and _is_join_table(
             leq.T, covers.T, self.meet_table
         )
@@ -391,7 +389,7 @@ def build_lattice(labels, leq_pairs, name="") -> FiniteLattice:
         raise NoBoundingElements("order has no unique bottom/top pair")
     bottom, top = int(bottoms[0]), int(tops[0])
 
-    heights = _longest_chain_heights(leq, bottom)
+    heights = _longest_chain_heights(leq)
     covers = _covers_from_square(leq, square)
     tables = _order_bounds(leq, covers, heights)
     if tables is None:
@@ -428,12 +426,8 @@ class Chain:
 
     def is_maximal(self) -> bool:
         """True iff every step is a covering step (no element fits between)."""
-        lat = self.lattice
-        for a, b in zip(self.elements, self.elements[1:]):
-            for z in range(lat.size):
-                if z not in (a, b) and lat.le(b, z) and lat.le(z, a):
-                    return False
-        return True
+        covers = self.lattice.covers
+        return all(covers[b, a] for a, b in zip(self.elements, self.elements[1:]))
 
 
 def chains_between(lat: FiniteLattice, a: ElementId, b: ElementId) -> list[Chain]:

@@ -93,7 +93,7 @@ def document_to_lattice(doc: LatticeDocument) -> FiniteLattice:
 
 def document_from_lattice(lat: FiniteLattice, name: str | None = None) -> LatticeDocument:
     """Canonical document for a lattice: its labels plus sorted cover pairs."""
-    covers = sorted(lat.upper_neighbors())
+    covers = lat.upper_neighbors()
     return LatticeDocument(
         name=lat.name if name is None else name,
         elements=tuple(lat.labels),
@@ -118,7 +118,7 @@ def lattice_to_dot(lat: FiniteLattice) -> str:
     for h in sorted(by_height):
         row = " ".join(f"{_quote(lat.labels[e])};" for e in by_height[h])
         lines.append(f"  {{ rank=same; {row} }}")
-    for x, y in sorted(lat.upper_neighbors()):
+    for x, y in lat.upper_neighbors():
         lines.append(f"  {_quote(lat.labels[x])} -> {_quote(lat.labels[y])};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -2,9 +2,11 @@
 
 Powerset (boolean) lattices, subspace lattices of prime-field vector spaces,
 and the small named fixtures: the diamond M3, the pentagon N5, and chains.
-Generated lattices come with closed-form tables and heights (subset size,
-dimension); the validating path through build_lattice is reserved for the
-tiny fixtures and user input.
+Generated lattices come with closed-form heights (subset size, dimension)
+and covers (both lattices are graded, so x is covered by y iff x <= y and
+y is one rank higher).  Boolean tables are bitwise; subspace tables come
+from core's recursion over those covers.  The validating path through
+build_lattice is reserved for the tiny fixtures and user input.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import string
 
 import numpy as np
 
-from .core import FiniteLattice, build_lattice
+from .core import FiniteLattice, _graded_covers, _order_bounds, build_lattice
 from .errors import SizeBound
 from .limits import MAX_BOOLEAN_EXPONENT, MAX_VECTORS, element_cap
 
@@ -35,12 +37,14 @@ def boolean_lattice(n: int) -> FiniteLattice:
         "{" + ",".join(names[i] for i in range(n) if mask >> i & 1) + "}"
         for mask in range(size)
     ]
-    idx = np.arange(size)
+    idx = np.arange(size, dtype=np.int32)
     meet = idx[:, None] & idx[None, :]
     join = idx[:, None] | idx[None, :]
     leq = meet == idx[:, None]
+    heights = sum((idx >> i) & 1 for i in range(n)).astype(np.int32)
     lat = FiniteLattice(labels, leq, 0, size - 1, meet, join, name=f"B_{n}")
-    lat._set_heights(sum((idx >> i) & 1 for i in range(n)).astype(np.int32))
+    lat._set_heights(heights)
+    lat._set_covers(_graded_covers(leq, heights))
     return lat
 
 
@@ -140,22 +144,13 @@ def subspace_lattice(dimension: int, field_order: int) -> FiniteLattice:
     leq = missing < 0.5
 
     dims = np.array([len(b) for b in bases], dtype=np.int32)
-    by_span = {span: i for i, span in enumerate(spans)}
-    meet = np.empty((size, size), dtype=np.int32)
-    for x in range(size):
-        for y in range(x, size):
-            meet[x, y] = meet[y, x] = by_span[spans[x] & spans[y]]
-    # join = lowest-dimensional common superspace
-    join = np.empty((size, size), dtype=np.int32)
-    big = np.int32(n + 1)
-    for x in range(size):
-        cu = leq[x][None, :] & leq
-        join[x] = np.where(cu, dims[None, :], big).argmin(axis=1)
-
+    covers = _graded_covers(leq, dims)
+    meet, join = _order_bounds(leq, covers, dims)
     lat = FiniteLattice(
         labels, leq, 0, size - 1, meet, join, name=f"subspaces_{n}_{q}"
     )
     lat._set_heights(dims)
+    lat._set_covers(covers)
     return lat
 
 

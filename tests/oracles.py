@@ -126,6 +126,26 @@ def subspace_dim(vecs, q):
     return dim
 
 
+def label_spans(lat, n, q):
+    """Vector set of every element of ``subspace_lattice(n, q)``, spanned
+    by brute force from the basis rows its label prints: "<101,011>" for
+    q <= 9, comma-separated coordinates "<1,0,12,0,1,5>" above."""
+    spans = []
+    for label in lat.labels:
+        if label == "0":
+            rows = []
+        elif q <= 9:
+            rows = [[int(c) for c in row] for row in label[1:-1].split(",")]
+        else:
+            flat = [int(c) for c in label[1:-1].split(",")]
+            rows = [flat[i : i + n] for i in range(0, len(flat), n)]
+        spans.append(frozenset(
+            tuple(sum(c * row[i] for c, row in zip(coeffs, rows)) % q for i in range(n))
+            for coeffs in itertools.product(range(q), repeat=len(rows))
+        ))
+    return spans
+
+
 # ----- naive realization oracle ---------------------------------------------
 
 
@@ -348,6 +368,24 @@ def scan_bound_tables(leq, heights, labels):
                 witness=(x, y),
             )
         meet[x] = cand
+    return meet, join
+
+
+def scan_subspace_tables(spans, leq, dims):
+    """The subspace generator's former tables: meet by intersecting the
+    vector sets of every pair, join as the lowest-dimensional common
+    superspace."""
+    by_span = {span: i for i, span in enumerate(spans)}
+    size = len(spans)
+    meet = np.empty((size, size), dtype=np.int32)
+    for x in range(size):
+        for y in range(x, size):
+            meet[x, y] = meet[y, x] = by_span[spans[x] & spans[y]]
+    join = np.empty((size, size), dtype=np.int32)
+    big = np.int32(dims.max() + 1)
+    for x in range(size):
+        cu = leq[x][None, :] & leq
+        join[x] = np.where(cu, dims[None, :], big).argmin(axis=1)
     return meet, join
 
 

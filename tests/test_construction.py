@@ -1,6 +1,9 @@
 import gc
 import itertools
+import os
 import random
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -88,6 +91,29 @@ def test_extend_height_validation():
         s.extend(statements=(Statement.height_is("1", 9),))
     with pytest.raises(ValueError):
         s.extend(statements=(Statement.height_is("1", 1),))
+
+
+_CONFLICT = """
+from latlab import Statement, initial_structure, split_element
+try:
+    split_element(initial_structure(4), "1").extend((), (Statement.height_is("b1", 1),))
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_conflicting_height_message_names_the_existing_height_first():
+    s = split_element(initial_structure(4), "1")
+    with pytest.raises(ValueError, match=r"^conflicting heights 2 and 1 for 'b1'$"):
+        s.extend((), (Statement.height_is("b1", 1),))
+    with pytest.raises(ValueError, match=r"^conflicting heights 1 and 3 for 'x'$"):
+        s.extend(("x",), (Statement.height_is("x", 1), Statement.height_is("x", 3)))
+    # The message must not depend on set iteration order.
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        out = subprocess.run([sys.executable, "-c", _CONFLICT], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "conflicting heights 2 and 1 for 'b1'\n", seed
 
 
 def test_split_element_even_by_default():

@@ -276,6 +276,10 @@ def test_upper_neighbors_returns_a_fresh_list():
     first.clear()
     assert len(b3.upper_neighbors()) == 12
     assert b3.upper_neighbors() is not b3.upper_neighbors()
+    # Documents and DOT export list the pairs in this order, unsorted.
+    for lat in (b3, subspace_lattice(3, 2), pentagon_n5()):
+        pairs = lat.upper_neighbors()
+        assert pairs == sorted(pairs), lat.name
 
 
 # ----- bounds before work -----------------------------------------------------

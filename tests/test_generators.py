@@ -19,6 +19,9 @@ from oracles import (
     count_subsets,
     enumerate_subspaces,
     gaussian_binomial,
+    label_spans,
+    scan_cover_matrix,
+    scan_subspace_tables,
     subspace_dim,
 )
 
@@ -137,3 +140,60 @@ def test_subspace_label_determinism():
     b = subspace_lattice(3, 2)
     assert a.labels == b.labels
     assert np.array_equal(a.meet_table, b.meet_table)
+
+
+# ----- closed-form covers and subspace tables from the cover recursion ------
+
+
+def _assert_premise_verified(lat):
+    assert lat._tables_match_order is None, lat.name  # not preset
+    assert lat.tables_match_order(), lat.name
+
+
+def _assert_seeded_covers(lat):
+    assert "covers" in vars(lat), lat.name  # seeded, not derived on demand
+    assert not lat.covers.flags.writeable
+    assert np.array_equal(lat.covers, scan_cover_matrix(lat.leq)), lat.name
+
+
+def test_subspace_tables_equal_the_frozen_scan(law_corpus):
+    params = [
+        tuple(int(v) for v in lat.name.split("_")[1:])
+        for lat in law_corpus
+        if lat.name.startswith("subspaces_")
+    ]
+    assert len(params) == 16
+    for n, q in params + [(5, 2), (3, 13)]:
+        lat = subspace_lattice(n, q)
+        spans = label_spans(lat, n, q)
+        dims = np.array([subspace_dim(s, q) for s in spans], dtype=np.int32)
+        leq = np.array([[x <= y for y in spans] for x in spans])
+        assert np.array_equal(leq, lat.leq), lat.name
+        assert np.array_equal(dims, lat.heights), lat.name
+        meet, join = scan_subspace_tables(spans, leq, dims)
+        assert np.array_equal(lat.meet_table, meet), lat.name
+        assert np.array_equal(lat.join_table, join), lat.name
+        _assert_seeded_covers(lat)
+        _assert_premise_verified(lat)
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2)])
+def test_subspace_meet_is_intersection_and_join_is_least_superspace(n, q):
+    lat = subspace_lattice(n, q)
+    spans = label_spans(lat, n, q)
+    oracle = enumerate_subspaces(n, q)
+    assert sorted(map(sorted, spans)) == sorted(map(sorted, oracle))
+    for x in range(lat.size):
+        for y in range(lat.size):
+            assert spans[lat.meet(x, y)] == spans[x] & spans[y]
+            above = [s for s in oracle if spans[x] | spans[y] <= s]
+            assert spans[lat.join(x, y)] == min(above, key=len)
+    _assert_premise_verified(lat)
+
+
+def test_boolean_covers_are_seeded_in_closed_form():
+    for n in range(1, 9):
+        lat = boolean_lattice(n)
+        _assert_seeded_covers(lat)
+        assert int(lat.covers.sum()) == n * 2 ** (n - 1)
+        _assert_premise_verified(lat)
