@@ -6,10 +6,13 @@ first needed, its element heights and cover matrix.
 Elements are addressed by index (``ElementId``); labels exist for rendering.
 Instances are immutable after construction: all arrays are marked read-only.
 
-:func:`build_lattice` is the validating constructor: it closes the given
-relation reflexively and transitively, rejects cycles and non-lattices with a
-witness, and computes the tables by recursion over covers.  Generators elsewhere in the package reuse
-:class:`FiniteLattice` directly, seeding closed-form heights and covers.
+:func:`build_lattice` is the validating constructor: one topological pass
+over the given relation (:func:`_order`) yields its reflexive-transitive
+closure, covers and heights and rejects cycles with a witness; the tables
+then come by recursion over covers, and non-lattices are rejected with a
+witness.  Generators elsewhere in the package reuse :class:`FiniteLattice`
+directly, seeding closed-form heights and covers; any other lattice derives
+both from ``leq`` with the same pass, on first use.
 """
 
 from __future__ import annotations
@@ -31,47 +34,79 @@ from .limits import chain_cap, element_cap
 ElementId = int
 
 
-def _transitive_closure(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reflexive-transitive closure by squaring, plus the last square.
+def _order(rel: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(leq, covers, heights) of the order generated by ``rel``, where
+    rel[x, y] says x <= y and ``leq`` is its reflexive-transitive closure.
 
-    The second result counts, for every pair (x, y) of the closed relation,
-    the z with x <= z <= y; :func:`build_lattice` reads the cover relation
-    off it.  Float32 counts are exact up to 2^24, far above the element cap.
+    Kahn's algorithm orders the elements along the given pairs.  Each
+    element's strict upper bounds, held as an int bit row, are its
+    successors and their strict upper bounds, swept in reverse Kahn order
+    (Purdom, "A transitive closure algorithm", BIT 10, 1970; bit rows as in
+    Ait-Kaci, Boyer, Lincoln & Nasr, TOPLAS 1989).  One sweep closes an
+    acyclic relation.  Elements Kahn leaves behind lie on or above a cycle;
+    they go last, and the sweeps repeat until nothing changes.  A path
+    x -> z -> y puts z strictly between x and y, so every cover is a given
+    pair: a successor of x that lies strictly above no other successor.
+    Heights are longest paths over the given pairs, which include every
+    cover.  Raises NotAPartialOrder naming the first pair of
+    ``leq & leq.T`` off the diagonal.
     """
-    cur = rel.copy()
+    n = rel.shape[0]
+    strict = rel & ~np.eye(n, dtype=bool)
+    succ = [np.flatnonzero(row).tolist() for row in strict]
+    indeg = strict.sum(axis=0).tolist()
+
+    heights = [0] * n
+    order = [x for x in range(n) if not indeg[x]]
+    for x in order:
+        up = heights[x] + 1
+        for y in succ[x]:
+            if heights[y] < up:
+                heights[y] = up
+            indeg[y] -= 1
+            if not indeg[y]:
+                order.append(y)
+    acyclic = len(order) == n
+    order += [x for x in range(n) if indeg[x]]
+
+    width = (n + 7) // 8
+    packed = np.packbits(strict, axis=1, bitorder="little").tobytes()
+    given = [int.from_bytes(packed[x * width : (x + 1) * width], "little") for x in range(n)]
+    above = [0] * n
+    covers = [0] * n
     while True:
-        f = cur.astype(np.float32)
-        square = f @ f
-        nxt = cur | (square > 0.5)
-        if (nxt == cur).all():
-            return nxt, square
-        cur = nxt
+        changed = False
+        for x in reversed(order):
+            reach = 0
+            for z in succ[x]:
+                reach |= above[z]
+            covers[x] = given[x] & ~reach
+            reach |= given[x]
+            if reach != above[x]:
+                above[x], changed = reach, True
+        if acyclic or not changed:
+            break
+
+    leq = _bit_matrix([a | 1 << x for x, a in enumerate(above)], n)
+    if not acyclic:
+        i, j = (int(v) for v in np.argwhere(leq & leq.T & ~np.eye(n, dtype=bool))[0])
+        raise NotAPartialOrder(
+            f"{labels[i]!r} and {labels[j]!r} lie on a cycle", witness=(i, j)
+        )
+    return leq, _bit_matrix(covers, n), np.array(heights, dtype=np.int32)
 
 
-def _covers_from_square(leq: np.ndarray, square: np.ndarray) -> np.ndarray:
-    """Cover matrix of a reflexive relation from ``leq @ leq``: x < y is a
-    cover iff x and y are the only z with x <= z <= y."""
-    return leq & (square < 2.5) & ~np.eye(leq.shape[0], dtype=bool)
+def _bit_matrix(rows: list[int], n: int) -> np.ndarray:
+    """Boolean n x n matrix whose entry [x, y] is bit y of rows[x]."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
 
 
 def _graded_covers(leq: np.ndarray, heights: np.ndarray) -> np.ndarray:
     """Cover matrix of a graded order with its rank function: x < y is a
     cover iff x <= y and y sits exactly one rank above x."""
     return leq & (heights[None, :] == heights[:, None] + 1)
-
-
-def _longest_chain_heights(leq: np.ndarray) -> np.ndarray:
-    n = leq.shape[0]
-    strict = leq & ~np.eye(n, dtype=bool)
-    # y < x implies below(y) is a proper subset of below(x), so sorting by
-    # below-counts is a topological order.
-    order = np.argsort(leq.sum(axis=0), kind="stable")
-    h = np.zeros(n, dtype=np.int32)
-    for x in order:
-        lows = np.flatnonzero(strict[:, x])
-        if lows.size:
-            h[x] = h[lows].max() + 1
-    return h
 
 
 class FiniteLattice:
@@ -107,15 +142,23 @@ class FiniteLattice:
         return int(self.join_table[x, y])
 
     @functools.cached_property
+    def _derived_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (covers, heights) from one :func:`_order` call on ``leq``,
+        for whichever of the two no constructor seeded."""
+        _, covers, heights = _order(self.leq, self.labels)
+        covers.setflags(write=False)
+        heights.setflags(write=False)
+        return covers, heights
+
+    @functools.cached_property
     def heights(self) -> np.ndarray:
         """Read-only longest-chain heights from bottom, per element.
 
         Computed on first use, unless a constructor that already knows them
-        seeded them, and shared by every caller.
+        seeded them, and shared by every caller.  Raises NotAPartialOrder
+        when ``leq`` has a cycle.
         """
-        heights = _longest_chain_heights(self.leq)
-        heights.setflags(write=False)
-        return heights
+        return self._derived_order[1]
 
     def _set_heights(self, heights: np.ndarray) -> None:
         heights.setflags(write=False)
@@ -151,12 +194,11 @@ class FiniteLattice:
         """Read-only cover matrix: [x, y] iff x < y with nothing between.
 
         Computed on first use, unless a constructor that already knows it
-        seeded it, and shared by every caller.
+        seeded it, and shared by every caller.  ``leq`` is read as a
+        generating relation, so only its given pairs can be covers.  Raises
+        NotAPartialOrder when ``leq`` has a cycle.
         """
-        f = self.leq.astype(np.float32)
-        covers = _covers_from_square(self.leq, f @ f)
-        covers.setflags(write=False)
-        return covers
+        return self._derived_order[0]
 
     def _set_covers(self, covers: np.ndarray) -> None:
         covers.setflags(write=False)
@@ -374,14 +416,7 @@ def build_lattice(labels, leq_pairs, name="") -> FiniteLattice:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"order pair ({i}, {j}) out of range")
         rel[i, j] = True
-    leq, square = _transitive_closure(rel)
-
-    sym = leq & leq.T & ~np.eye(n, dtype=bool)
-    if sym.any():
-        i, j = (int(v) for v in np.argwhere(sym)[0])
-        raise NotAPartialOrder(
-            f"{labels[i]!r} and {labels[j]!r} lie on a cycle", witness=(i, j)
-        )
+    leq, covers, heights = _order(rel, labels)
 
     bottoms = np.flatnonzero(leq.all(axis=1))
     tops = np.flatnonzero(leq.all(axis=0))
@@ -389,8 +424,6 @@ def build_lattice(labels, leq_pairs, name="") -> FiniteLattice:
         raise NoBoundingElements("order has no unique bottom/top pair")
     bottom, top = int(bottoms[0]), int(tops[0])
 
-    heights = _longest_chain_heights(leq)
-    covers = _covers_from_square(leq, square)
     tables = _order_bounds(leq, covers, heights)
     if tables is None:
         # The scan names the lexicographically first pair without a bound.

@@ -9,7 +9,9 @@ meet/join tables and check the package's indexes, memo and pruning against
 the unindexed, uncached forms.  The bound-table and law scans are the full
 O(n^3) forms that the package's cover recursion and theorem-backed deciders
 replaced; they read whatever tables and order a lattice carries, forged or
-not, and are the reference those fast paths must match exactly.
+not, and are the reference those fast paths must match exactly.  The
+order-derivation section freezes the squaring closure, square-read covers
+and argsort heights that ``core._order`` replaced.
 """
 
 import itertools
@@ -318,6 +320,67 @@ def scan_boolean_sublattices(lat, must_contain=()):
     grow([], lat.bottom, 0)
     out.sort(key=lambda s: (len(s.elements), s.elements))
     return out
+
+
+# ----- order-derivation reference -------------------------------------------
+#
+# Frozen copies of the three functions that derived the order before the
+# one topological kernel, and the cycle check ``build_lattice`` ran between
+# them.
+
+
+def _transitive_closure(rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reflexive-transitive closure by squaring, plus the last square.
+
+    The second result counts, for every pair (x, y) of the closed relation,
+    the z with x <= z <= y; :func:`build_lattice` reads the cover relation
+    off it.  Float32 counts are exact up to 2^24, far above the element cap.
+    """
+    cur = rel.copy()
+    while True:
+        f = cur.astype(np.float32)
+        square = f @ f
+        nxt = cur | (square > 0.5)
+        if (nxt == cur).all():
+            return nxt, square
+        cur = nxt
+
+
+def _covers_from_square(leq: np.ndarray, square: np.ndarray) -> np.ndarray:
+    """Cover matrix of a reflexive relation from ``leq @ leq``: x < y is a
+    cover iff x and y are the only z with x <= z <= y."""
+    return leq & (square < 2.5) & ~np.eye(leq.shape[0], dtype=bool)
+
+
+def _longest_chain_heights(leq: np.ndarray) -> np.ndarray:
+    n = leq.shape[0]
+    strict = leq & ~np.eye(n, dtype=bool)
+    # y < x implies below(y) is a proper subset of below(x), so sorting by
+    # below-counts is a topological order.
+    order = np.argsort(leq.sum(axis=0), kind="stable")
+    h = np.zeros(n, dtype=np.int32)
+    for x in order:
+        lows = np.flatnonzero(strict[:, x])
+        if lows.size:
+            h[x] = h[lows].max() + 1
+    return h
+
+
+def squaring_order(rel, labels):
+    """(leq, covers, heights) of the order ``rel`` generates, as
+    ``build_lattice`` derived them with the three functions above, or its
+    NotAPartialOrder."""
+    from latlab.errors import NotAPartialOrder
+
+    n = rel.shape[0]
+    leq, square = _transitive_closure(rel | np.eye(n, dtype=bool))
+    sym = leq & leq.T & ~np.eye(n, dtype=bool)
+    if sym.any():
+        i, j = (int(v) for v in np.argwhere(sym)[0])
+        raise NotAPartialOrder(
+            f"{labels[i]!r} and {labels[j]!r} lie on a cycle", witness=(i, j)
+        )
+    return leq, _covers_from_square(leq, square), _longest_chain_heights(leq)
 
 
 # ----- bound-table and law-decider reference scans --------------------------

@@ -179,21 +179,57 @@ def test_every_boolean_element_has_exactly_one_complement():
             assert len(b.complements_of(x)) == 1
 
 
+def _count_order_calls(monkeypatch):
+    results = []
+    original = core._order
+
+    def counted(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(core, "_order", counted)
+    return results
+
+
 def test_build_lattice_computes_heights_once(monkeypatch):
     labels, pairs, sets = powerset_pairs()
     expected = [len(s) for s in sets]
-    calls = []
-    original = core._longest_chain_heights
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(core, "_longest_chain_heights", counted)
+    results = _count_order_calls(monkeypatch)
     lat = build_lattice(labels, pairs)
     assert [lat.height(e) for e in range(lat.size)] == expected
     assert lat.heights.tolist() == expected
-    assert len(calls) == 1
+    assert len(results) == 1
+    _, covers, heights = results[0]
+    assert lat.heights is heights and lat.covers is covers
+    assert sorted(lat.upper_neighbors()) == sorted(pairs)
+
+
+def test_hand_built_lattice_derives_covers_and_heights_in_one_call(monkeypatch):
+    lattices = (pentagon_n5(), subspace_lattice(2, 3), boolean_lattice(4))
+    results = _count_order_calls(monkeypatch)
+    for first in ("covers", "heights"):
+        for lat in lattices:
+            hand = core.FiniteLattice(lat.labels, lat.leq, lat.bottom, lat.top,
+                                      lat.meet_table, lat.join_table)
+            results.clear()
+            getattr(hand, first)
+            assert np.array_equal(hand.covers, lat.covers), lat.name
+            assert np.array_equal(hand.heights, lat.heights), lat.name
+            assert len(results) == 1, lat.name
+
+
+def test_hand_built_lattice_with_a_cycle_raises_build_lattices_error():
+    m3 = diamond_m3()
+    leq = m3.leq.copy()
+    leq[m3.top, m3.index_of("b")] = True  # b <= 1 <= b
+    with pytest.raises(NotAPartialOrder) as built:
+        build_lattice(m3.labels, np.argwhere(leq).tolist())
+    hand = core.FiniteLattice(m3.labels, leq, m3.bottom, m3.top, m3.meet_table, m3.join_table)
+    for name in ("covers", "heights"):
+        with pytest.raises(NotAPartialOrder) as lazy:
+            getattr(hand, name)
+        assert str(lazy.value) == str(built.value), name
+        assert lazy.value.witness == built.value.witness, name
 
 
 def test_lattice_is_immutable():

@@ -1,5 +1,5 @@
-"""Cover-recursion bound tables and theorem-backed law deciders against the
-frozen full scans in ``oracles``.
+"""The order kernel, cover-recursion bound tables and theorem-backed law
+deciders against the frozen squaring closure and full scans in ``oracles``.
 
 The fast paths must agree with the scans everywhere: identical tables,
 identical NotALattice message and witness, and identical LawReports,
@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from latlab import (
     FiniteLattice,
+    NoBoundingElements,
     NotALattice,
+    NotAPartialOrder,
     SizeBound,
     boolean_lattice,
     build_lattice,
@@ -42,6 +44,7 @@ from oracles import (
     scan_distributive,
     scan_lattice_axioms,
     scan_modular,
+    squaring_order,
 )
 
 DECIDERS = (
@@ -100,15 +103,52 @@ def dm_completions(draw):
     return _shuffled(draw, len(cuts), pairs)
 
 
+@st.composite
+def digraphs(draw):
+    """An arbitrary relation on up to eight elements: often cyclic, with
+    elements above a cycle but on none."""
+    n = draw(st.integers(1, 8))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return [f"e{i}" for i in range(n)], draw(st.lists(pair, max_size=2 * n))
+
+
+@st.composite
+def generating_relations(draw):
+    """Any relation ``build_lattice`` accepts: a bounded poset's, a DM
+    completion's or an arbitrary digraph's pairs, optionally closed into a
+    dense relation, with duplicate and self pairs, and with reversed pairs
+    that close cycles."""
+    labels, pairs = draw(st.one_of(bounded_posets(), dm_completions(), digraphs()))
+    n = len(labels)
+    if draw(st.booleans()):
+        pairs = [tuple(p) for p in np.argwhere(_closed(n, pairs)).tolist()]
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+        if draw(st.integers(0, 2)) == 0:
+            pairs += [(b, a) for a, b in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2))]
+    pairs += [(e, e) for e in draw(st.lists(st.integers(0, n - 1), max_size=3))]
+    return labels, draw(st.permutations(pairs))
+
+
+def _relation(n, pairs):
+    rel = np.zeros((n, n), dtype=bool)
+    for a, b in pairs:
+        rel[a, b] = True
+    return rel
+
+
+def _closed(n, pairs):
+    """Reflexive-transitive closure by Warshall's algorithm."""
+    leq = _relation(n, pairs) | np.eye(n, dtype=bool)
+    for k in range(n):
+        leq |= leq[:, k, None] & leq[None, k, :]
+    return leq
+
+
 def _reference_build(labels, pairs):
     """Tables or the NotALattice of the frozen scan, over an order closed
     by Warshall's algorithm with brute-force heights."""
-    n = len(labels)
-    leq = np.eye(n, dtype=bool)
-    for a, b in pairs:
-        leq[a, b] = True
-    for k in range(n):
-        leq |= leq[:, k, None] & leq[None, k, :]
+    leq = _closed(len(labels), pairs)
     heights = np.array(brute_heights(leq.tolist()))
     try:
         return scan_bound_tables(leq, heights, labels)
@@ -125,9 +165,11 @@ def _build(labels, pairs):
 
 
 def _assert_same_outcome(got, want):
+    """Equal arrays of equal dtypes, or the same error tuple."""
     if isinstance(want[0], np.ndarray):
-        assert isinstance(got[0], np.ndarray), got
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert len(got) == len(want) and all(isinstance(g, np.ndarray) for g in got), got
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
     else:
         assert got == want
 
@@ -153,6 +195,42 @@ def test_tables_and_deciders_match_scans_on_dm_completions(lattice):
     labels, pairs = lattice
     _assert_same_outcome(_build(labels, pairs), _reference_build(labels, pairs))
     _assert_deciders_match(build_lattice(labels, pairs))
+
+
+def _outcome(derive, *args):
+    """The arrays ``derive`` returns, or the type, message and witness of
+    the order error it raises."""
+    try:
+        return derive(*args)
+    except (NotAPartialOrder, NoBoundingElements, NotALattice) as exc:
+        return type(exc), str(exc), exc.witness
+
+
+def _squaring_build(labels, pairs):
+    """``build_lattice``'s outcome with the order from the frozen squaring
+    trio and the tables from the frozen scan."""
+    leq, covers, heights = squaring_order(_relation(len(labels), pairs), labels)
+    if leq.all(axis=1).sum() != 1 or leq.all(axis=0).sum() != 1:
+        raise NoBoundingElements("order has no unique bottom/top pair")
+    return (leq, covers, heights, *scan_bound_tables(leq, heights, labels))
+
+
+def _kernel_build(labels, pairs):
+    lat = build_lattice(labels, pairs)
+    return lat.leq, lat.covers, lat.heights, lat.meet_table, lat.join_table
+
+
+@settings(max_examples=400, deadline=None)
+@given(generating_relations())
+def test_order_kernel_matches_the_squaring_reference(relation):
+    labels, pairs = relation
+    rel = _relation(len(labels), pairs)
+    _assert_same_outcome(
+        _outcome(core._order, rel, labels), _outcome(squaring_order, rel, labels)
+    )
+    _assert_same_outcome(
+        _outcome(_kernel_build, labels, pairs), _outcome(_squaring_build, labels, pairs)
+    )
 
 
 def test_tables_and_deciders_match_scans_on_law_corpus(law_corpus):
