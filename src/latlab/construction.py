@@ -20,6 +20,13 @@ Construction operations grow a structure step by step:
 :func:`find_realization` searches a concrete lattice for an injective,
 bound- and statement-preserving assignment of the constants; the search is
 exhaustive and returns the lexicographically least realization.
+
+Growth checks only what is new.  A structure's height and split indexes
+pass from parent to child and are updated from the new statements alone.
+Each ambient lattice's boolean sublattices are enumerated once, into a memo
+that also gives every element one int whose bit i says "sublattice i
+contains this element"; a closure's extensions and shared elements are
+ANDs of those ints.
 """
 
 from __future__ import annotations
@@ -40,8 +47,9 @@ from .errors import (
     SizeBound,
     UnknownConstant,
 )
-from .generators import boolean_lattice, subspace_lattice
+from .generators import _is_prime, _subspace_count, boolean_lattice, subspace_lattice
 from .limits import (
+    MAX_BOOLEAN_PIPELINE_N,
     MAX_REALIZATION_CONSTANTS,
     MAX_SUBSTRUCTURE_CONSTANTS,
     MAX_TREE_DEPTH,
@@ -123,14 +131,8 @@ class PartialStructure:
     def _splits(self) -> dict[str, tuple[str, str]]:
         """Per symbol, the least (b, c) with b join c = symbol, disjoint."""
         index: dict[str, tuple[str, str]] = {}
-        for st in self.statements:
-            if st.kind is not StatementKind.JOIN_EQ:
-                continue
-            b, c, symbol = st.operands
-            if symbol in (b, c) or Statement.disjoint(b, c) not in self.statements:
-                continue
-            if symbol not in index or (b, c) < index[symbol]:
-                index[symbol] = (b, c)
+        joins = (st.operands for st in self.statements if st.kind is StatementKind.JOIN_EQ)
+        _record_splits(index, joins, self.statements)
         return index
 
     def height_of(self, symbol: str) -> int | None:
@@ -153,7 +155,13 @@ class PartialStructure:
     def extend(self, constants=(), statements=(), counter=None) -> "PartialStructure":
         """New structure with extra constants and statements.
 
-        Closure statements for the new constants are added automatically.
+        Closure statements ``0 join c = c`` and ``c join 1 = 1`` are added
+        for the new constants only: every structure is grown from
+        :func:`initial_structure` by ``extend`` and ``renamed``, so its own
+        constants already have them.  Only the new statements are validated,
+        in the order given.  The child starts from copies of this
+        structure's height and split indexes, updated from the new
+        statements.
         Raises UnknownConstant for statements about undeclared constants,
         DepthExhausted for declared heights above the depth bound, and
         ValueError for a height that contradicts one already declared.
@@ -166,7 +174,14 @@ class PartialStructure:
         known = set(all_consts)
 
         stmts = set(self.statements)
-        declared: dict[str, int] = {}  # new heights of constants self has none for
+        heights = dict(self._heights)
+        fresh = frozenset(new_consts)
+        joins: list[tuple[str, ...]] = []
+        # A split needs a join and a disjointness.  A new disjointness that
+        # names a new constant can only pair with a new join; one between two
+        # old constants may pair with an old join, and then the split index
+        # is left to a rescan.
+        rescan = False
         for st in statements:
             for op in st.operands:
                 if op not in known:
@@ -180,20 +195,22 @@ class PartialStructure:
                         f"height {st.value} for {symbol!r} is outside "
                         f"the depth bound {self.depth_bound}"
                     )
-                # Only new heights can conflict; the existing one is named first.
-                prev = self._heights.get(symbol)
-                if prev is None:
-                    prev = declared.setdefault(symbol, st.value)
+                # The existing height is named first.
+                prev = heights.setdefault(symbol, st.value)
                 if prev != st.value:
                     raise ValueError(
                         f"conflicting heights {prev} and {st.value} for {symbol!r}"
                     )
+            elif st.kind is StatementKind.JOIN_EQ:
+                joins.append(st.operands)
+            elif st.kind is StatementKind.DISJOINT:
+                rescan = rescan or fresh.isdisjoint(st.operands)
             stmts.add(st)
-        for c in all_consts:
+        for c in new_consts:
             stmts.add(Statement.join_eq(self.zero, c, c))
             stmts.add(Statement.join_eq(c, self.one, self.one))
 
-        return PartialStructure(
+        child = PartialStructure(
             constants=all_consts,
             statements=frozenset(stmts),
             depth_bound=self.depth_bound,
@@ -201,6 +218,13 @@ class PartialStructure:
             one=self.one,
             counter=self.counter if counter is None else counter,
         )
+        # Seed the cached indexes, which would otherwise rescan everything.
+        child.__dict__["_heights"] = heights
+        if not rescan:
+            splits = dict(self._splits)
+            _record_splits(splits, joins, stmts)
+            child.__dict__["_splits"] = splits
+        return child
 
     def renamed(self, mapping: dict[str, str]) -> "PartialStructure":
         """Rename constants (bounds excluded); statements follow."""
@@ -221,6 +245,17 @@ class PartialStructure:
             one=self.one,
             counter=self.counter,
         )
+
+
+def _record_splits(index: dict, joins, statements) -> None:
+    """Record each join ``b join c = symbol`` (symbol neither part) whose
+    parts the statements declare disjoint; per symbol the least (b, c)
+    stays."""
+    for b, c, symbol in joins:
+        if symbol in (b, c) or Statement.disjoint(b, c) not in statements:
+            continue
+        if symbol not in index or (b, c) < index[symbol]:
+            index[symbol] = (b, c)
 
 
 def initial_structure(depth_bound: int) -> PartialStructure:
@@ -384,6 +419,18 @@ class Realization:
         return {c: self.lattice.labels[e] for c, e in self.mapping.items()}
 
 
+def _holds(st: Statement, lat: FiniteLattice, mapping: dict[str, ElementId]) -> bool:
+    """Does one statement hold with its constants read through the mapping?"""
+    ops = [mapping[o] for o in st.operands]
+    if st.kind is StatementKind.JOIN_EQ:
+        return lat.join(ops[0], ops[1]) == ops[2]
+    if st.kind is StatementKind.MEET_EQ:
+        return lat.meet(ops[0], ops[1]) == ops[2]
+    if st.kind is StatementKind.DISJOINT:
+        return lat.meet(ops[0], ops[1]) == lat.bottom
+    return lat.height(ops[0]) == st.value
+
+
 def satisfies(
     structure: PartialStructure, lat: FiniteLattice, mapping: dict[str, ElementId]
 ) -> bool:
@@ -400,21 +447,7 @@ def satisfies(
         return False
     if mapping[structure.zero] != lat.bottom or mapping[structure.one] != lat.top:
         return False
-    for st in structure.statements:
-        ops = [mapping[o] for o in st.operands]
-        if st.kind is StatementKind.JOIN_EQ:
-            if lat.join(ops[0], ops[1]) != ops[2]:
-                return False
-        elif st.kind is StatementKind.MEET_EQ:
-            if lat.meet(ops[0], ops[1]) != ops[2]:
-                return False
-        elif st.kind is StatementKind.DISJOINT:
-            if lat.meet(ops[0], ops[1]) != lat.bottom:
-                return False
-        elif st.kind is StatementKind.HEIGHT_IS:
-            if lat.height(ops[0]) != st.value:
-                return False
-    return True
+    return all(_holds(st, lat, mapping) for st in structure.statements)
 
 
 def find_realization(
@@ -540,12 +573,14 @@ def _close_blocks(
     return BooleanSublattice(tuple(sorted(set(joins))), tuple(blocks))
 
 
-# lattice -> [(element bitmask, sublattice)] in enumeration order; an entry
-# is made once per lattice object and dropped with it.
+# lattice -> [sublattices in enumeration order, per-element bits]: bit i of
+# bits[e] says sublattice i contains element e.  The bits are filled in on
+# the first query that names elements.  An entry is made once per lattice
+# object and dropped with it.
 _SUBLATTICES = weakref.WeakKeyDictionary()
 
 
-def _all_boolean_sublattices(lat: FiniteLattice) -> list[tuple[int, BooleanSublattice]]:
+def _all_boolean_sublattices(lat: FiniteLattice) -> list[BooleanSublattice]:
     """Grow disjoint block decompositions of the top and close each one.
 
     A candidate block z is admitted only when it meets the join of the
@@ -575,7 +610,36 @@ def _all_boolean_sublattices(lat: FiniteLattice) -> list[tuple[int, BooleanSubla
 
     grow([], lat.bottom, 0)
     out.sort(key=lambda s: (len(s.elements), s.elements))
-    return [(sum(1 << e for e in sub.elements), sub) for sub in out]
+    return out
+
+
+def _memo(lat: FiniteLattice) -> list:
+    """The lattice's memo entry, made on first use; checks the ambient cap."""
+    cap = ambient_cap()
+    if lat.size > cap:
+        raise SizeBound(f"sublattice enumeration is capped at {cap} elements")
+    entry = _SUBLATTICES.get(lat)
+    if entry is None:
+        entry = _SUBLATTICES[lat] = [_all_boolean_sublattices(lat), None]
+    return entry
+
+
+def _containing(entry: list, size: int, elements) -> int:
+    """Bits of the memoized sublattices that contain every given element:
+    the AND of the elements' bits, which are filled in on first use."""
+    subs, bits = entry
+    if bits is None:
+        member = np.zeros((size, len(subs)), dtype=bool)
+        member[
+            list(itertools.chain.from_iterable(sub.elements for sub in subs)),
+            np.repeat(np.arange(len(subs)), [len(sub.elements) for sub in subs]),
+        ] = True
+        packed = np.packbits(member, axis=1, bitorder="little")
+        bits = entry[1] = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    cand = (1 << len(subs)) - 1
+    for e in elements:
+        cand &= bits[e]
+    return cand
 
 
 def enumerate_boolean_sublattices(
@@ -585,20 +649,19 @@ def enumerate_boolean_sublattices(
 
     Each is generated by a disjoint block decomposition of the top; the
     decomposition's subset-joins must be distinct and meet-compatible.
-    Enumeration runs once per lattice object; later calls filter that list.
+    Enumeration runs once per lattice object; later calls read the memo's
+    per-element index.  Returns a fresh list, in enumeration order.
     """
-    cap = ambient_cap()
-    if lat.size > cap:
-        raise SizeBound(f"sublattice enumeration is capped at {cap} elements")
-    required = 0
-    for e in map(int, must_contain):
-        if e < 0:
-            return []  # no element has a negative id
-        required |= 1 << e
-    subs = _SUBLATTICES.get(lat)
-    if subs is None:
-        subs = _SUBLATTICES[lat] = _all_boolean_sublattices(lat)
-    return [sub for mask, sub in subs if required & ~mask == 0]
+    entry = _memo(lat)
+    subs = entry[0]
+    required = [int(e) for e in must_contain]
+    if not required:
+        return list(subs)
+    if any(not 0 <= e < lat.size for e in required):
+        return []  # no element has such an id
+    cand = _containing(entry, lat.size, required)
+    raw = np.frombuffer(cand.to_bytes((len(subs) + 7) // 8, "little"), dtype=np.uint8)
+    return [subs[i] for i in np.flatnonzero(np.unpackbits(raw, bitorder="little"))]
 
 
 def _anchored_realization(structure, ambient, realization):
@@ -643,19 +706,39 @@ def boolean_closure(
             f"closure is capped at {MAX_SUBSTRUCTURE_CONSTANTS} constants"
         )
     f = _anchored_realization(structure, ambient, realization)
-    extensions = enumerate_boolean_sublattices(
-        ambient, must_contain=[f.mapping[c] for c in symbols]
-    )
-    if not extensions:
+    elements = _shared_elements(ambient, [f.mapping[c] for c in symbols])
+    if elements is None:
         return None
-    shared = set(extensions[0].elements)
-    for sub in extensions[1:]:
-        shared &= set(sub.elements)
-    elements = tuple(sorted(shared))
+    return _closure_over(structure, f.mapping, ambient, elements)
 
+
+def _shared_elements(
+    ambient: FiniteLattice, images: list[ElementId]
+) -> tuple[ElementId, ...] | None:
+    """Ascending elements of every boolean sublattice through the images, or
+    None when there is no such sublattice."""
+    entry = _memo(ambient)
+    cand = _containing(entry, ambient.size, images)
+    if not cand:
+        return None
+    # Shared elements lie in the first candidate, the smallest one; each is
+    # shared iff its bits cover the candidates'.
+    subs, bits = entry
+    first = subs[(cand & -cand).bit_length() - 1]
+    return tuple(e for e in first.elements if bits[e] & cand == cand)
+
+
+def _closure_over(
+    structure: PartialStructure,
+    mapping: dict[str, ElementId],
+    ambient: FiniteLattice,
+    elements: tuple[ElementId, ...],
+) -> ClosureResult:
+    """The closure on the shared elements: existing names under the
+    mapping, fresh ones for the rest, and every statement among them."""
     name_of: dict[ElementId, str] = {}
     for c in structure.constants:
-        name_of[f.mapping[c]] = c
+        name_of[mapping[c]] = c
     fresh: list[str] = []
     serial = 0
     for e in elements:
@@ -823,6 +906,17 @@ def _all_splits_realizable(structure, lat, mapping) -> tuple[bool, str]:
 
 
 def _all_closures_realizable(structure, lat, realization) -> tuple[bool, str]:
+    """Does every boolean closure of one or more constants (singletons and
+    pairs past MAX_SUBSTRUCTURE_CONSTANTS) extend the realization?
+
+    The structure's own statements are checked once.  Each closure then only
+    adds its fresh constants and statements, so the extension realizes iff
+    the fresh images are new and distinct and every closure statement holds
+    under the extended mapping.  The bound statements ``extend`` would add
+    for the fresh constants hold in any lattice once 0 and 1 sit at the
+    bounds.  A closure is a function of its elements, so groups with the
+    same shared elements share one closure, checked once.
+    """
     symbols = structure.constants
     if len(symbols) > MAX_SUBSTRUCTURE_CONSTANTS:
         groups = itertools.chain(
@@ -832,17 +926,32 @@ def _all_closures_realizable(structure, lat, realization) -> tuple[bool, str]:
         groups = itertools.chain.from_iterable(
             itertools.combinations(symbols, r) for r in range(1, len(symbols) + 1)
         )
+    base = realization.mapping
+    base_ok = satisfies(structure, lat, base)
+    taken = {base[c] for c in symbols}
     checked = 0
+    seen: set[tuple[ElementId, ...]] = set()
     for group in groups:
-        closure = boolean_closure(structure, group, lat, realization=realization)
-        if closure is None:
+        elements = _shared_elements(lat, [base[c] for c in group])
+        if elements is None:
             continue
-        extended = apply_closure(structure, closure)
-        mapping = dict(realization.mapping)
-        mapping.update({c: closure.naming[c] for c in closure.new_constants})
-        if not satisfies(extended, lat, mapping):
-            return False, f"closure over {group} is not realizable"
         checked += 1
+        if elements in seen:
+            continue  # the same closure as an earlier group's, already checked
+        seen.add(elements)
+        closure = _closure_over(structure, base, lat, elements)
+        fresh = {c: closure.naming[c] for c in closure.new_constants}
+        images = set(fresh.values())
+        mapping = {**base, **fresh}
+        ok = (
+            base_ok
+            and len(mapping) == len(base) + len(fresh)
+            and len(images) == len(fresh)
+            and taken.isdisjoint(images)
+            and all(_holds(st, lat, mapping) for st in closure.statements)
+        )
+        if not ok:
+            return False, f"closure over {group} is not realizable"
     return True, f"{checked} closures re-realized"
 
 
@@ -912,8 +1021,10 @@ def verify_boolean_pipeline(n: int) -> PipelineReport:
     realizable."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > 4:
-        raise SizeBound("the end-to-end boolean pipeline is capped at n=4")
+    if n > MAX_BOOLEAN_PIPELINE_N:
+        raise SizeBound(
+            f"the end-to-end boolean pipeline is capped at n={MAX_BOOLEAN_PIPELINE_N}"
+        )
     stages: dict[str, dict] = {}
     report = PipelineReport("boolean", {"n": n}, stages)
     lat = boolean_lattice(n)
@@ -957,6 +1068,15 @@ def verify_projective_pipeline(n: int, q: int) -> PipelineReport:
     pairs down to a height-1 meet."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    # From n = 2 on, atom pairs are closed inside the target, so its size is
+    # held against the ambient cap before anything is built.
+    if n >= 2 and _is_prime(q):
+        size = _subspace_count(n, q)
+        cap = ambient_cap()
+        if size > cap:
+            raise SizeBound(
+                f"{size} subspaces exceeds the sublattice enumeration cap of {cap}"
+            )
     stages: dict[str, dict] = {}
     report = PipelineReport("projective", {"n": n, "q": q}, stages)
     lat = subspace_lattice(n, q)

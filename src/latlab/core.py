@@ -40,16 +40,16 @@ def _order(rel: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     Kahn's algorithm orders the elements along the given pairs.  Each
     element's strict upper bounds, held as an int bit row, are its
-    successors and their strict upper bounds, swept in reverse Kahn order
-    (Purdom, "A transitive closure algorithm", BIT 10, 1970; bit rows as in
-    Ait-Kaci, Boyer, Lincoln & Nasr, TOPLAS 1989).  One sweep closes an
-    acyclic relation.  Elements Kahn leaves behind lie on or above a cycle;
-    they go last, and the sweeps repeat until nothing changes.  A path
+    successors and their strict upper bounds, swept once in reverse Kahn
+    order (Purdom, "A transitive closure algorithm", BIT 10, 1970; bit rows
+    as in Ait-Kaci, Boyer, Lincoln & Nasr, TOPLAS 1989).  A path
     x -> z -> y puts z strictly between x and y, so every cover is a given
     pair: a successor of x that lies strictly above no other successor.
     Heights are longest paths over the given pairs, which include every
-    cover.  Raises NotAPartialOrder naming the first pair of
-    ``leq & leq.T`` off the diagonal.
+    cover.  Elements Kahn leaves behind lie on or above a cycle; then
+    NotAPartialOrder names the first pair of ``leq & leq.T`` off the
+    diagonal, read off the strongly connected components of the leftovers
+    (:func:`_first_cycle_pair`) without closing the relation.
     """
     n = rel.shape[0]
     strict = rel & ~np.eye(n, dtype=bool)
@@ -66,34 +66,78 @@ def _order(rel: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             indeg[y] -= 1
             if not indeg[y]:
                 order.append(y)
-    acyclic = len(order) == n
-    order += [x for x in range(n) if indeg[x]]
+    if len(order) < n:
+        i, j = _first_cycle_pair([x for x in range(n) if indeg[x]], succ)
+        raise NotAPartialOrder(
+            f"{labels[i]!r} and {labels[j]!r} lie on a cycle", witness=(i, j)
+        )
 
     width = (n + 7) // 8
     packed = np.packbits(strict, axis=1, bitorder="little").tobytes()
     given = [int.from_bytes(packed[x * width : (x + 1) * width], "little") for x in range(n)]
     above = [0] * n
     covers = [0] * n
-    while True:
-        changed = False
-        for x in reversed(order):
-            reach = 0
-            for z in succ[x]:
-                reach |= above[z]
-            covers[x] = given[x] & ~reach
-            reach |= given[x]
-            if reach != above[x]:
-                above[x], changed = reach, True
-        if acyclic or not changed:
-            break
+    for x in reversed(order):
+        reach = 0
+        for z in succ[x]:
+            reach |= above[z]
+        covers[x] = given[x] & ~reach
+        above[x] = reach | given[x]
 
     leq = _bit_matrix([a | 1 << x for x, a in enumerate(above)], n)
-    if not acyclic:
-        i, j = (int(v) for v in np.argwhere(leq & leq.T & ~np.eye(n, dtype=bool))[0])
-        raise NotAPartialOrder(
-            f"{labels[i]!r} and {labels[j]!r} lie on a cycle", witness=(i, j)
-        )
     return leq, _bit_matrix(covers, n), np.array(heights, dtype=np.int32)
+
+
+def _first_cycle_pair(left: list[int], succ: list[list[int]]) -> tuple[int, int]:
+    """The least (i, j), i != j, with i and j on a common cycle.
+
+    ``left`` holds the elements Kahn's algorithm could not order, ascending.
+    Every cycle lies among them, and so does every successor of one, since
+    the pair from an unordered element keeps its successor's in-degree
+    up.  Two elements share a cycle iff they share a strongly connected
+    component, so i is the least element of any component with two or more
+    members and j the next least member of that component.  Components come
+    from Tarjan's algorithm (SIAM J. Comput. 1, 1972), run iteratively.
+    """
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    best = (len(succ), len(succ))
+    for root in left:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            x, edges = work[-1]
+            for y in edges:
+                if y not in index:
+                    index[y] = low[y] = len(index)
+                    stack.append(y)
+                    on_stack.add(y)
+                    work.append((y, iter(succ[y])))
+                    break
+                if y in on_stack:
+                    low[x] = min(low[x], index[y])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[x])
+                if low[x] == index[x]:
+                    component = []
+                    while True:
+                        y = stack.pop()
+                        on_stack.discard(y)
+                        component.append(y)
+                        if y == x:
+                            break
+                    if len(component) > 1:
+                        best = min(best, tuple(sorted(component)[:2]))
+    return best
 
 
 def _bit_matrix(rows: list[int], n: int) -> np.ndarray:

@@ -63,6 +63,11 @@ def _gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
+def _subspace_count(n: int, q: int) -> int:
+    """Number of subspaces of F_q^n, of every dimension."""
+    return sum(_gaussian_binomial(n, k, q) for k in range(n + 1))
+
+
 def _rref_bases(n: int, q: int, k: int):
     """All reduced-row-echelon bases of k-dim subspaces of F_q^n."""
     if k == 0:
@@ -115,7 +120,7 @@ def subspace_lattice(dimension: int, field_order: int) -> FiniteLattice:
         raise ValueError(f"field order {q} is not prime")
     if q**n > MAX_VECTORS:
         raise SizeBound(f"{q}^{n} vectors exceeds the cap of {MAX_VECTORS}")
-    size = sum(_gaussian_binomial(n, k, q) for k in range(n + 1))
+    size = _subspace_count(n, q)
     cap = element_cap()
     if size > cap:
         raise SizeBound(f"{size} subspaces exceeds the cap of {cap}")

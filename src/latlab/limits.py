@@ -12,6 +12,8 @@ MAX_ELEMENTS = 4096
 MAX_CHAIN_ELEMENTS = 256
 MAX_BOOLEAN_EXPONENT = 12
 MAX_TREE_DEPTH = 6
+# B_7 has 128 elements, the ambient cap.
+MAX_BOOLEAN_PIPELINE_N = 7
 MAX_VECTORS = 4096
 MAX_REALIZATION_ELEMENTS = 256
 MAX_REALIZATION_CONSTANTS = 64

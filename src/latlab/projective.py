@@ -9,6 +9,7 @@ Birkhoff and von Neumann's characterization of quantum-logic lattices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -198,6 +199,8 @@ def verify_bvn_characterization(lat: FiniteLattice, n: int) -> CharacterizationR
     from .witness import LAWS  # witness imports this module
 
     clauses: dict[str, LawReport] = {}
+    # The incidence clauses share one classification of the lattice.
+    view = functools.cache(lambda: geometry_view(lat))
     for name, law in _BVN_CLAUSES:
         if law is Law.TOP_HEIGHT:
             top_h = lat.height(lat.top)
@@ -205,8 +208,12 @@ def verify_bvn_characterization(lat: FiniteLattice, n: int) -> CharacterizationR
                 law, top_h == n, None, f"height(top)={top_h}, expected {n}"
             )
             continue
+        spec = LAWS[law]
         try:
-            clauses[name] = LAWS[law].check(lat, n)
+            if spec.reads_view:
+                clauses[name] = spec.check(lat, n, view())
+            else:
+                clauses[name] = spec.check(lat, n)
         except NotGraded as exc:
             clauses[name] = LawReport(law, False, None, f"not graded: {exc}")
         except NotAtomic as exc:

@@ -16,6 +16,7 @@ from typing import Callable
 
 from .core import ElementId, FiniteLattice
 from .projective import (
+    GeometryView,
     check_p1,
     check_p2,
     check_p3_third_point,
@@ -189,14 +190,22 @@ class LawSpec:
     """How one law is checked and how its witnesses are re-checked.
 
     ``check(lat, n)`` returns the law's report; ``n``, the target height of
-    the top, is read only by laws with ``needs_n``.  ``violates(lat,
-    witness)`` re-evaluates a failure witness from the order alone, and is
-    None for a law whose reports carry no witness.
+    the top, is read only by laws with ``needs_n``.  Laws with
+    ``reads_view`` read the lattice's geometry view, and their ``check``
+    takes an optional third argument: a view the caller has already
+    classified.  ``violates(lat, witness)`` re-evaluates a failure witness
+    from the order alone, and is None for a law whose reports carry no
+    witness.
     """
 
-    check: Callable[[FiniteLattice, int | None], LawReport]
+    check: Callable[..., LawReport]
     violates: Callable[[FiniteLattice, tuple[ElementId, ...]], bool] | None
     needs_n: bool = False
+    reads_view: bool = False
+
+
+def _view_of(lat: FiniteLattice, view: GeometryView | None) -> GeometryView:
+    return geometry_view(lat) if view is None else view
 
 
 # Entries call the checkers through their module-level names, so whatever
@@ -219,11 +228,20 @@ LAWS: dict[Law, LawSpec] = {
     Law.PERSPECTIVE: LawSpec(
         lambda lat, n: is_perspective_lattice(lat), _violates_perspective
     ),
-    Law.P1: LawSpec(lambda lat, n: check_p1(geometry_view(lat)), _violates_p1),
-    Law.P2: LawSpec(lambda lat, n: check_p2(geometry_view(lat)), _violates_p2),
+    Law.P1: LawSpec(
+        lambda lat, n, view=None: check_p1(_view_of(lat, view)),
+        _violates_p1,
+        reads_view=True,
+    ),
+    Law.P2: LawSpec(
+        lambda lat, n, view=None: check_p2(_view_of(lat, view)),
+        _violates_p2,
+        reads_view=True,
+    ),
     Law.THIRD_POINT: LawSpec(
-        lambda lat, n: check_p3_third_point(geometry_view(lat)),
+        lambda lat, n, view=None: check_p3_third_point(_view_of(lat, view)),
         _violates_third_point,
+        reads_view=True,
     ),
     Law.SPANNING: LawSpec(
         lambda lat, n: check_spanning(lat, n), _violates_spanning, needs_n=True

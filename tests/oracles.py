@@ -4,10 +4,11 @@ Everything here recomputes answers from first principles: order scans over
 the raw leq relation, recursive chain lengths, subset enumeration over raw
 vectors, and all-assignments realization search.  Nothing uses the
 package's precomputed tables, so agreement is meaningful.  The exceptions
-are the last two sections.  The construction-engine scans read the lattice's
-meet/join tables and check the package's indexes, memo and pruning against
-the unindexed, uncached forms.  The bound-table and law scans are the full
-O(n^3) forms that the package's cover recursion and theorem-backed deciders
+are the last three sections.  The construction-engine scans read the
+lattice's meet/join tables and check the package's indexes, memo, pruning
+and incremental growth and re-checks against the unindexed, uncached,
+whole-structure forms.  The bound-table and law scans are the full O(n^3)
+forms that the package's cover recursion and theorem-backed deciders
 replaced; they read whatever tables and order a lattice carries, forged or
 not, and are the reference those fast paths must match exactly.  The
 order-derivation section freezes the squaring closure, square-read covers
@@ -320,6 +321,117 @@ def scan_boolean_sublattices(lat, must_contain=()):
     grow([], lat.bottom, 0)
     out.sort(key=lambda s: (len(s.elements), s.elements))
     return out
+
+
+def rebuild_extend(structure, constants=(), statements=(), counter=None):
+    """``PartialStructure.extend`` before it went incremental: a copy of
+    every statement, bound statements re-added for every constant, heights
+    read off a full scan, and nothing seeded into the child."""
+    from latlab.construction import PartialStructure, Statement, StatementKind
+    from latlab.errors import DepthExhausted, UnknownConstant
+
+    new_consts = tuple(constants)
+    for c in new_consts:
+        if c in structure.constants or new_consts.count(c) > 1:
+            raise ValueError(f"constant {c!r} is already declared")
+    all_consts = structure.constants + new_consts
+    known = set(all_consts)
+
+    stmts = set(structure.statements)
+    declared = {}
+    for st in statements:
+        for op in st.operands:
+            if op not in known:
+                raise UnknownConstant(
+                    f"statement names unknown constant {op!r}", witness=(op,)
+                )
+        if st.kind is StatementKind.HEIGHT_IS:
+            symbol = st.operands[0]
+            if st.value < 0 or st.value > structure.depth_bound:
+                raise DepthExhausted(
+                    f"height {st.value} for {symbol!r} is outside "
+                    f"the depth bound {structure.depth_bound}"
+                )
+            prev = scan_height_of(structure, symbol)
+            if prev is None:
+                prev = declared.setdefault(symbol, st.value)
+            if prev != st.value:
+                raise ValueError(
+                    f"conflicting heights {prev} and {st.value} for {symbol!r}"
+                )
+        stmts.add(st)
+    for c in all_consts:
+        stmts.add(Statement.join_eq(structure.zero, c, c))
+        stmts.add(Statement.join_eq(c, structure.one, structure.one))
+    return PartialStructure(
+        constants=all_consts,
+        statements=frozenset(stmts),
+        depth_bound=structure.depth_bound,
+        zero=structure.zero,
+        one=structure.one,
+        counter=structure.counter if counter is None else counter,
+    )
+
+
+def scan_satisfies(structure, lat, mapping):
+    """Every statement of the structure evaluated under the mapping, after
+    the injectivity and bound checks."""
+    from latlab.construction import StatementKind
+
+    try:
+        values = [mapping[c] for c in structure.constants]
+    except KeyError:
+        return False
+    if len(set(values)) != len(values):
+        return False
+    if mapping[structure.zero] != lat.bottom or mapping[structure.one] != lat.top:
+        return False
+    for st in structure.statements:
+        ops = [mapping[o] for o in st.operands]
+        if st.kind is StatementKind.JOIN_EQ:
+            ok = lat.join(ops[0], ops[1]) == ops[2]
+        elif st.kind is StatementKind.MEET_EQ:
+            ok = lat.meet(ops[0], ops[1]) == ops[2]
+        elif st.kind is StatementKind.DISJOINT:
+            ok = lat.meet(ops[0], ops[1]) == lat.bottom
+        else:
+            ok = lat.height(ops[0]) == st.value
+        if not ok:
+            return False
+    return True
+
+
+def whole_structure_closures_realizable(structure, lat, realization):
+    """The pipeline's closure re-check before it went incremental: each
+    closure is applied to the whole structure and the result re-checked
+    statement by statement.  Reaches ``boolean_closure`` through its module;
+    a test can forge the closures both forms see by patching
+    ``construction._closure_over``."""
+    from latlab import construction
+
+    symbols = structure.constants
+    if len(symbols) > construction.MAX_SUBSTRUCTURE_CONSTANTS:
+        groups = itertools.chain(
+            itertools.combinations(symbols, 1), itertools.combinations(symbols, 2)
+        )
+    else:
+        groups = itertools.chain.from_iterable(
+            itertools.combinations(symbols, r) for r in range(1, len(symbols) + 1)
+        )
+    checked = 0
+    for group in groups:
+        closure = construction.boolean_closure(
+            structure, group, lat, realization=realization
+        )
+        if closure is None:
+            continue
+        extended = rebuild_extend(structure, closure.new_constants, closure.statements)
+        mapping = dict(realization.mapping)
+        mapping.update({c: closure.naming[c] for c in closure.new_constants})
+        if not scan_satisfies(extended, lat, mapping):
+            return False, f"closure over {group} is not realizable"
+        checked += 1
+    return True, f"{checked} closures re-realized"
 
 
 # ----- order-derivation reference -------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import os
@@ -47,9 +48,11 @@ from latlab import construction
 from oracles import (
     all_realizations,
     naive_realization_exists,
+    rebuild_extend,
     scan_boolean_sublattices,
     scan_height_of,
     scan_split_of,
+    whole_structure_closures_realizable,
 )
 
 
@@ -416,11 +419,29 @@ def test_boolean_pipeline_passes_small_ranks():
         assert d["passed"] is True and d["params"] == {"n": n}
 
 
-def test_boolean_pipeline_bounds():
+def _refuse(*args, **kwargs):
+    raise AssertionError("the ambient lattice was built before the size check")
+
+
+def test_boolean_pipeline_bounds(monkeypatch):
     with pytest.raises(ValueError):
         verify_boolean_pipeline(0)
+    monkeypatch.setattr(construction, "boolean_lattice", _refuse)
     with pytest.raises(SizeBound):
-        verify_boolean_pipeline(5)
+        verify_boolean_pipeline(8)
+
+
+def test_boolean_pipeline_reaches_the_ambient_cap():
+    rep = verify_boolean_pipeline(7)
+    assert len(rep.stages) == 6
+    assert all(stage["ok"] for stage in rep.stages.values()), rep.to_dict()
+
+
+@pytest.mark.parametrize("n, q", [(6, 2), (3, 13)])
+def test_projective_pipeline_bounds_come_before_generation(monkeypatch, n, q):
+    monkeypatch.setattr(construction, "subspace_lattice", _refuse)
+    with pytest.raises(SizeBound):
+        verify_projective_pipeline(n, q)
 
 
 def test_projective_pipeline_passes():
@@ -469,29 +490,41 @@ def _recorded_splits(s):
     )
 
 
+def _grow(s, kind, pick):
+    """One random growth step: a split of a tall constant, an alternative
+    part of a recorded split, or a disjointness or join among existing
+    constants; None when the step does not apply."""
+    if kind >= 2:
+        rng = random.Random(pick)
+        names = rng.choices(s.constants, k=3)
+        if kind == 2:
+            return s.extend((), (Statement.disjoint(*names[:2]),))
+        return s.extend((), (Statement.join_eq(*names),))
+    if kind:
+        splits = _recorded_splits(s)
+        if not splits:
+            return None
+        symbol, b, c = splits[pick % len(splits)]
+        part, other = (b, c) if pick % 2 else (c, b)
+        return add_split_alternative(s, symbol, part, other)
+    tall = [c for c in s.constants if (scan_height_of(s, c) or 0) >= 2]
+    if not tall:
+        return None
+    c = tall[pick % len(tall)]
+    h = scan_height_of(s, c)
+    hb = 1 + pick % (h - 1)
+    return split_element(s, c, (hb, h - hb))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(2, 6),
-    st.lists(st.tuples(st.booleans(), st.integers(0, 2**16)), max_size=8),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2**16)), max_size=8),
 )
 def test_indexes_match_scans_on_grown_structures(depth, steps):
     s = initial_structure(depth)
-    for alternative, pick in steps:
-        if alternative:
-            splits = _recorded_splits(s)
-            if not splits:
-                continue
-            symbol, b, c = splits[pick % len(splits)]
-            part, other = (b, c) if pick % 2 else (c, b)
-            s = add_split_alternative(s, symbol, part, other)
-        else:
-            tall = [c for c in s.constants if (scan_height_of(s, c) or 0) >= 2]
-            if not tall:
-                continue
-            c = tall[pick % len(tall)]
-            h = scan_height_of(s, c)
-            hb = 1 + pick % (h - 1)
-            s = split_element(s, c, (hb, h - hb))
+    for kind, pick in steps:
+        s = _grow(s, kind, pick) or s
     _assert_indexes_match_scans(s)
 
 
@@ -540,3 +573,160 @@ def test_sublattice_memo_does_not_keep_lattices_alive():
     gc.collect()
     assert ref() is None
     assert len(construction._SUBLATTICES) == before
+
+
+# ----- incremental engine against the frozen whole-structure forms ----------
+
+
+def _assert_same_structure(got, want):
+    assert got.constants == want.constants
+    assert got.statements == want.statements
+    assert got.counter == want.counter
+    for c in got.constants + ("absent",):
+        assert got.height_of(c) == want.height_of(c), c
+        assert got.split_of(c) == want.split_of(c), c
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2**16)), max_size=10),
+)
+def test_extend_matches_the_frozen_rebuild(depth, steps):
+    s = initial_structure(depth)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construction.PartialStructure, "extend", rebuild_extend)
+        frozen = initial_structure(depth)
+    _assert_same_structure(s, frozen)
+    for kind, pick in steps:
+        grown = _grow(s, kind, pick)
+        if grown is None:
+            continue
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(construction.PartialStructure, "extend", rebuild_extend)
+            frozen = _grow(frozen, kind, pick)
+        s = grown
+        _assert_same_structure(s, frozen)
+
+
+def test_extend_rejects_what_the_frozen_rebuild_rejects():
+    s = split_element(initial_structure(4), "1")
+    bad = [
+        (("b1",), ()),
+        (("x", "x"), ()),
+        ((), (Statement.height_is("nope", 1),)),
+        (("x",), (Statement.height_is("x", 9),)),
+        ((), (Statement.height_is("b1", 1),)),
+        (("x",), (Statement.height_is("x", 1), Statement.height_is("x", 3))),
+        (("x",), (Statement.join_eq("x", "y", "1"), Statement.height_is("x", -1))),
+    ]
+    for constants, statements in bad:
+        with pytest.raises(Exception) as want:
+            rebuild_extend(s, constants, statements)
+        with pytest.raises(type(want.value)) as got:
+            s.extend(constants, statements)
+        assert str(got.value) == str(want.value)
+
+
+def _pipeline_structures(lat, n):
+    """The split tree of depth bound n with its realization in ``lat``, and
+    the tree extended by the boolean closure of its leaves."""
+    tree = saturate_splits(initial_structure(n))
+    f = find_realization(tree, lat)
+    closure = boolean_closure(tree, tree.leaves(), lat, realization=f)
+    extended = apply_closure(tree, closure)
+    mapping = dict(f.mapping)
+    mapping.update({c: closure.naming[c] for c in closure.new_constants})
+    return [(tree, f), (extended, construction.Realization(extended, lat, mapping))]
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [(functools.partial(boolean_lattice, k), k) for k in range(1, 6)]
+    + [(functools.partial(subspace_lattice, 3, 2), 3)],
+)
+def test_closure_recheck_matches_the_whole_structure_form(make, n):
+    lat = make()
+    for structure, real in _pipeline_structures(lat, n):
+        got = construction._all_closures_realizable(structure, lat, real)
+        assert got[0], got
+        assert got == whole_structure_closures_realizable(structure, lat, real)
+
+
+def _forging(monkeypatch, forge):
+    """Pass every closure with fresh constants through ``forge``."""
+    honest = construction._closure_over
+
+    def forged(*args):
+        closure = honest(*args)
+        return forge(closure) if closure.new_constants else closure
+
+    monkeypatch.setattr(construction, "_closure_over", forged)
+
+
+def test_closure_recheck_rejects_forged_closures(monkeypatch):
+    lat = boolean_lattice(3)
+    tree, real = _pipeline_structures(lat, 3)[0]
+
+    def wrong_result(closure):
+        st = next(
+            st for st in sorted(closure.statements, key=Statement.sort_key)
+            if st.kind is StatementKind.JOIN_EQ and st.operands[2] != "1"
+        )
+        a, b, _ = st.operands
+        lie = Statement.join_eq(a, b, "1")
+        stmts = (closure.statements - {st}) | {lie}
+        return construction.ClosureResult(
+            stmts, closure.new_constants, closure.naming, closure.elements
+        )
+
+    def colliding_naming(closure):
+        # No statements, so only the injectivity check can object.
+        naming = dict(closure.naming)
+        naming[closure.new_constants[0]] = real.mapping[tree.leaves()[0]]
+        return construction.ClosureResult(
+            frozenset(), closure.new_constants, naming, closure.elements
+        )
+
+    def merged_fresh(closure):
+        naming = dict(closure.naming)
+        for c in closure.new_constants:
+            naming[c] = naming[closure.new_constants[0]]
+        return construction.ClosureResult(
+            frozenset(), closure.new_constants, naming, closure.elements
+        )
+
+    for forge in (wrong_result, colliding_naming, merged_fresh):
+        _forging(monkeypatch, forge)
+        got = construction._all_closures_realizable(tree, lat, real)
+        assert not got[0], forge.__name__
+        assert got == whole_structure_closures_realizable(tree, lat, real)
+        monkeypatch.undo()
+
+
+_INDEX_LATTICES = {
+    "B_4": functools.partial(boolean_lattice, 4),
+    "B_5": functools.partial(boolean_lattice, 5),
+    "fano": functools.partial(subspace_lattice, 3, 2),
+    "S_2_5": functools.partial(subspace_lattice, 2, 5),
+    "M3": diamond_m3,
+}
+
+
+@functools.cache
+def _index_case(name):
+    lat = _INDEX_LATTICES[name]()
+    return lat, scan_boolean_sublattices(lat)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_INDEX_LATTICES)), st.data())
+def test_sublattice_index_matches_the_full_scan(name, data):
+    lat, full = _index_case(name)
+    sub = data.draw(st.sampled_from(full))
+    inside = data.draw(st.lists(st.sampled_from(sub.elements), max_size=3))
+    stray = data.draw(st.lists(st.integers(-3, lat.size + 3), max_size=2))
+    must = inside + stray + inside[:1]  # a repeated id changes nothing
+    in_range = all(0 <= e < lat.size for e in must)
+    want = scan_boolean_sublattices(lat, must) if in_range else []
+    assert enumerate_boolean_sublattices(lat, must_contain=must) == want

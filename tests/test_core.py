@@ -71,6 +71,23 @@ def test_cycle_is_rejected():
         build_lattice(["a", "b"], [(0, 1), (1, 0)])
 
 
+def test_long_reversed_cycle_names_its_first_pair():
+    n = element_cap()
+    pairs = [(i + 1, i) for i in range(n - 1)] + [(0, n - 1)]
+    with pytest.raises(NotAPartialOrder) as err:
+        build_lattice([str(i) for i in range(n)], pairs)
+    assert err.value.witness == (0, 1)
+    assert str(err.value) == "'0' and '1' lie on a cycle"
+
+
+def test_cycle_witness_is_the_least_member_of_the_first_cycle():
+    # 0 and 1 lie below the cycles 9 -> 7 -> 3 -> 9 and 8 -> 4 -> 8; 2 above.
+    pairs = [(0, 1), (1, 9), (9, 7), (7, 3), (3, 9), (8, 4), (4, 8), (0, 8), (3, 2)]
+    with pytest.raises(NotAPartialOrder) as err:
+        build_lattice([f"e{i}" for i in range(10)], pairs)
+    assert err.value.witness == (3, 7)
+
+
 def test_missing_bounds_are_rejected():
     with pytest.raises(NoBoundingElements):
         build_lattice(["0", "a", "b"], [(0, 1), (0, 2)])

@@ -204,7 +204,7 @@ def test_verify_exit_codes(capsys):
     capsys.readouterr()
     assert main(["verify", "projective", "--n", "3"]) == 2  # missing --q
     assert main(["verify", "projective", "--n", "3", "--q", "4"]) == 2
-    assert main(["verify", "boolean", "--n", "5"]) == 2  # size bound
+    assert main(["verify", "boolean", "--n", "8"]) == 2  # size bound
     assert main(["verify", "boolean"]) == 2  # missing --n
 
 

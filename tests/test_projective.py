@@ -184,6 +184,24 @@ def test_characterization_on_ungraded_and_unatomic_lattices():
     assert "not atomic" in c3.clauses["spanning"].detail
 
 
+def test_characterization_classifies_the_lattice_once(fano, monkeypatch):
+    from latlab import projective, witness
+
+    calls = []
+
+    def counted(lat):
+        calls.append(lat)
+        return geometry_view(lat)
+
+    monkeypatch.setattr(projective, "geometry_view", counted)
+    monkeypatch.setattr(witness, "geometry_view", counted)
+    report = verify_bvn_characterization(fano, 3)
+    assert report.passed and calls == [fano]
+    # Called alone, a registry check still classifies the lattice itself.
+    assert witness.LAWS[witness.Law.P1].check(fano, None).holds
+    assert calls == [fano, fano]
+
+
 def test_characterization_wrong_height(fano):
     report = verify_bvn_characterization(fano, 2)
     assert set(report.failing()) == {"top_height", "spanning"}
