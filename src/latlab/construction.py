@@ -479,15 +479,12 @@ def find_realization(
     heights = lat.heights
     domains: list[list[int]] = []
     for c in consts:
-        if c == structure.zero:
-            dom = [lat.bottom]
-        elif c == structure.one:
-            dom = [lat.top]
-        else:
-            dom = list(range(lat.size))
         h = structure.height_of(c)
-        if h is not None:
-            dom = [e for e in dom if heights[e] == h]
+        if c == structure.zero or c == structure.one:
+            bound = lat.bottom if c == structure.zero else lat.top
+            dom = [bound] if h is None or heights[bound] == h else []
+        else:
+            dom = list(range(lat.size)) if h is None else np.flatnonzero(heights == h).tolist()
         if c in pin:
             dom = [e for e in dom if e == pin[c]]
         if not dom:
@@ -535,7 +532,9 @@ def find_realization(
         assign[k] = -1
         return False
 
-    if not search(0):
+    found = search(0)
+    del search  # it holds itself through its closure: free this call's state now
+    if not found:
         return None
     return Realization(structure, lat, {c: int(assign[pos[c]]) for c in consts})
 

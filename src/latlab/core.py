@@ -251,7 +251,8 @@ class FiniteLattice:
     def upper_neighbors(self) -> list[tuple[ElementId, ElementId]]:
         """Cover pairs (x, y): x < y with nothing strictly between, in
         ascending (x, y) order."""
-        return [(int(x), int(y)) for x, y in np.argwhere(self.covers)]
+        flat = np.flatnonzero(self.covers)
+        return list(zip((flat // self.size).tolist(), (flat % self.size).tolist()))
 
     def tables_match_order(self) -> bool:
         """True iff ``leq`` is a partial order (reflexive, antisymmetric,

@@ -28,12 +28,22 @@ class LatticeDocument:
     order: tuple[tuple[str, str], ...]
 
     def to_json(self) -> str:
-        payload = {
-            "name": self.name,
-            "elements": list(self.elements),
-            "order": [[a, b] for a, b in self.order],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        """``json.dumps(..., indent=2, sort_keys=True)`` plus a newline, joined
+        here because json's indented encoder runs in Python; each distinct
+        label is escaped once by ``json.dumps``, which runs in C."""
+        quoted = {s: json.dumps(s) for s in set(self.elements).union(*self.order)}
+        elements = [quoted[e] for e in self.elements]
+        order = [f"[\n      {quoted[a]},\n      {quoted[b]}\n    ]" for a, b in self.order]
+        return (
+            f'{{\n  "elements": {_json_list(elements)},\n'
+            f'  "name": {json.dumps(self.name)},\n'
+            f'  "order": {_json_list(order)}\n}}\n'
+        )
+
+
+def _json_list(items: list[str]) -> str:
+    """A key's value list in the two-space layout of ``json.dumps``."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 def parse_document(text: str) -> LatticeDocument:

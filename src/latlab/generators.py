@@ -4,9 +4,10 @@ Powerset (boolean) lattices, subspace lattices of prime-field vector spaces,
 and the small named fixtures: the diamond M3, the pentagon N5, and chains.
 Generated lattices come with closed-form heights (subset size, dimension)
 and covers (both lattices are graded, so x is covered by y iff x <= y and
-y is one rank higher).  Boolean tables are bitwise; subspace tables come
-from core's recursion over those covers.  The validating path through
-build_lattice is reserved for the tiny fixtures and user input.
+y is one rank higher).  Boolean tables are bitwise; subspace spans and
+containment are array products, and subspace tables come from core's
+recursion over those covers.  The validating path through build_lattice is
+reserved for the tiny fixtures and user input.
 """
 
 from __future__ import annotations
@@ -89,18 +90,6 @@ def _rref_bases(n: int, q: int, k: int):
             yield tuple(tuple(row) for row in rows)
 
 
-def _span(basis, q: int, n: int) -> frozenset:
-    vectors = set()
-    for coeffs in itertools.product(range(q), repeat=len(basis)):
-        vec = tuple(
-            sum(c * row[i] for c, row in zip(coeffs, basis)) % q for i in range(n)
-        )
-        vectors.add(vec)
-    if not basis:
-        vectors.add((0,) * n)
-    return frozenset(vectors)
-
-
 def _vector_label(vec, q: int) -> str:
     sep = "" if q <= 9 else ","
     return sep.join(str(v) for v in vec)
@@ -125,10 +114,18 @@ def subspace_lattice(dimension: int, field_order: int) -> FiniteLattice:
     if size > cap:
         raise SizeBound(f"{size} subspaces exceeds the cap of {cap}")
 
+    # Each vector of F_q^n is its base-q number; the span of a k-row basis
+    # is every coefficient row of F_q^k times the basis, reduced mod q.
+    place = q ** np.arange(n - 1, -1, -1)
+    member = np.zeros((size, q**n), dtype=np.float32)
     bases = []
     for k in range(n + 1):
-        bases.extend(sorted(_rref_bases(n, q, k)))
-    spans = [_span(b, q, n) for b in bases]
+        block = sorted(_rref_bases(n, q, k))
+        coeffs = np.array(list(itertools.product(range(q), repeat=k)), dtype=int)
+        rows = np.array(block, dtype=int).reshape(len(block), k, n)
+        spans = coeffs.reshape(q**k, k) @ rows % q @ place
+        np.put_along_axis(member[len(bases) : len(bases) + len(block)], spans, 1.0, axis=1)
+        bases.extend(block)
 
     labels = []
     for b in bases:
@@ -138,13 +135,6 @@ def subspace_lattice(dimension: int, field_order: int) -> FiniteLattice:
             labels.append("<" + ",".join(_vector_label(r, q) for r in b) + ">")
 
     # containment via one bitset matmul over the q^n vectors
-    vec_index = {
-        v: i for i, v in enumerate(itertools.product(range(q), repeat=n))
-    }
-    member = np.zeros((size, len(vec_index)), dtype=np.float32)
-    for s, span in enumerate(spans):
-        for v in span:
-            member[s, vec_index[v]] = 1.0
     missing = member @ (1.0 - member).T  # [x, y] = #(vectors in x but not y)
     leq = missing < 0.5
 

@@ -12,10 +12,13 @@ forms that the package's cover recursion and theorem-backed deciders
 replaced; they read whatever tables and order a lattice carries, forged or
 not, and are the reference those fast paths must match exactly.  The
 order-derivation section freezes the squaring closure, square-read covers
-and argsort heights that ``core._order`` replaced.
+and argsort heights that ``core._order`` replaced.  The write-path section
+freezes the ``argwhere`` cover pairs and the ``json.dumps`` document body
+that ``upper_neighbors`` and ``LatticeDocument.to_json`` replaced.
 """
 
 import itertools
+import json
 from math import comb
 
 import numpy as np
@@ -637,3 +640,24 @@ def scan_modular(lat):
             y, z = _first(bad)
             return LawReport(Law.MODULAR, False, (x, y, z))
     return LawReport(Law.MODULAR, True)
+
+
+# ----- write-path reference -------------------------------------------------
+#
+# Frozen copies of the cover-pair extraction and the document writer that
+# the flat-index ``upper_neighbors`` and the joined ``to_json`` replaced.
+
+
+def argwhere_cover_pairs(lat):
+    """Cover pairs (x, y) of ``lat.covers`` in ascending order, as Python ints."""
+    return [(int(x), int(y)) for x, y in np.argwhere(lat.covers)]
+
+
+def json_dumps_document(doc):
+    """A ``LatticeDocument`` as json's indented, key-sorted encoder writes it."""
+    payload = {
+        "name": doc.name,
+        "elements": list(doc.elements),
+        "order": [[a, b] for a, b in doc.order],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -260,6 +260,20 @@ def test_pinned_search():
     assert find_realization(t, b3, pin={"c1": b3.top}) is None
 
 
+def test_realization_search_leaves_no_cyclic_garbage():
+    fano = subspace_lattice(3, 2)
+    probe = line_probe_structure(3)
+    line = next(e for e in range(fano.size) if fano.height(e) == 2)
+    gc.collect()
+    gc.disable()
+    try:
+        assert find_realization(probe, fano, pin={"l": line}) is not None
+        assert find_realization(probe, fano, pin={"l": fano.top}) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_realization_caps():
     with pytest.raises(SizeBound):
         find_realization(build_tree(1), boolean_lattice(9))

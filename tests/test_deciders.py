@@ -37,6 +37,7 @@ from latlab.cli import main
 from latlab.limits import element_cap
 
 from oracles import (
+    argwhere_cover_pairs,
     brute_heights,
     gaussian_binomial,
     scan_bound_tables,
@@ -358,6 +359,25 @@ def test_upper_neighbors_returns_a_fresh_list():
     for lat in (b3, subspace_lattice(3, 2), pentagon_n5()):
         pairs = lat.upper_neighbors()
         assert pairs == sorted(pairs), lat.name
+
+
+def _assert_argwhere_cover_pairs(lat):
+    pairs = lat.upper_neighbors()
+    assert pairs == argwhere_cover_pairs(lat), lat.name
+    assert all(type(p) is tuple and len(p) == 2 for p in pairs)
+    assert all(type(v) is int for p in pairs for v in p)
+
+
+@given(dm_completions())
+def test_upper_neighbors_match_the_argwhere_reference(relation):
+    _assert_argwhere_cover_pairs(build_lattice(*relation))
+
+
+def test_upper_neighbors_of_one_element_and_of_b12():
+    one = build_lattice(["x"], [])
+    assert one.upper_neighbors() == []
+    _assert_argwhere_cover_pairs(one)
+    _assert_argwhere_cover_pairs(boolean_lattice(12))
 
 
 # ----- bounds before work -----------------------------------------------------

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from latlab import (
     DocumentError,
@@ -19,6 +21,8 @@ from latlab import Law
 from latlab.cli import _requested_laws, main
 from latlab.witness import LAWS
 
+from oracles import json_dumps_document
+
 
 # ----- documents ------------------------------------------------------------
 
@@ -31,6 +35,30 @@ def test_document_roundtrip_preserves_the_lattice(fano):
     assert rebuilt.labels == fano.labels
     assert np.array_equal(rebuilt.leq, fano.leq)
     assert np.array_equal(rebuilt.meet_table, fano.meet_table)
+
+
+# Labels that json must escape: quotes, backslashes, control characters,
+# non-ASCII and astral characters (written as surrogate pairs).
+_labels = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\té€\U0001f600\U0010ffff'), st.characters()),
+    max_size=6,
+)
+
+
+@st.composite
+def documents(draw):
+    elements = draw(st.lists(_labels, max_size=8))
+    label = st.sampled_from(elements) if elements else _labels
+    order = draw(st.lists(st.tuples(st.one_of(label, _labels), label), max_size=8))
+    return LatticeDocument(draw(_labels), tuple(elements), tuple(order))
+
+
+@given(documents())
+@example(LatticeDocument("lattice1", ("x",), ()))  # one element, no covers
+def test_to_json_matches_the_json_encoder_byte_for_byte(doc):
+    text = doc.to_json()
+    assert text == json_dumps_document(doc)
+    assert parse_document(text) == doc
 
 
 def test_parse_reports_line_and_column():

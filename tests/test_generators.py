@@ -163,6 +163,8 @@ def test_subspace_tables_equal_the_frozen_scan(law_corpus):
         if lat.name.startswith("subspaces_")
     ]
     assert len(params) == 16
+    # labels with commas (q > 9), and rank 4 and 5
+    assert {(2, 11), (2, 13), (3, 5), (4, 3)} <= set(params)
     for n, q in params + [(5, 2), (3, 13)]:
         lat = subspace_lattice(n, q)
         spans = label_spans(lat, n, q)
