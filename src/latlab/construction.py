@@ -21,8 +21,9 @@ Construction operations grow a structure step by step:
 bound- and statement-preserving assignment of the constants; the search is
 exhaustive and returns the lexicographically least realization.
 
-Growth checks only what is new.  A structure's height and split indexes
-pass from parent to child and are updated from the new statements alone.
+Growth checks only what is new.  A structure's height index passes from
+parent to child and is updated from the new statements alone; its split
+index is built on first use.
 Each ambient lattice's boolean sublattices are enumerated once, into a memo
 that also gives every element one int whose bit i says "sublattice i
 contains this element"; a closure's extensions and shared elements are
@@ -47,7 +48,7 @@ from .errors import (
     SizeBound,
     UnknownConstant,
 )
-from .generators import _is_prime, _subspace_count, boolean_lattice, subspace_lattice
+from .generators import boolean_lattice, subspace_count, subspace_lattice
 from .limits import (
     MAX_BOOLEAN_PIPELINE_N,
     MAX_REALIZATION_CONSTANTS,
@@ -129,10 +130,17 @@ class PartialStructure:
 
     @functools.cached_property
     def _splits(self) -> dict[str, tuple[str, str]]:
-        """Per symbol, the least (b, c) with b join c = symbol, disjoint."""
+        """Per symbol, the least (b, c) with b join c = symbol (symbol
+        neither part) whose parts are declared disjoint."""
         index: dict[str, tuple[str, str]] = {}
-        joins = (st.operands for st in self.statements if st.kind is StatementKind.JOIN_EQ)
-        _record_splits(index, joins, self.statements)
+        for st in self.statements:
+            if st.kind is not StatementKind.JOIN_EQ:
+                continue
+            b, c, symbol = st.operands
+            if symbol in (b, c) or Statement.disjoint(b, c) not in self.statements:
+                continue
+            if symbol not in index or (b, c) < index[symbol]:
+                index[symbol] = (b, c)
         return index
 
     def height_of(self, symbol: str) -> int | None:
@@ -159,9 +167,8 @@ class PartialStructure:
         for the new constants only: every structure is grown from
         :func:`initial_structure` by ``extend`` and ``renamed``, so its own
         constants already have them.  Only the new statements are validated,
-        in the order given.  The child starts from copies of this
-        structure's height and split indexes, updated from the new
-        statements.
+        in the order given, against a copy of this structure's height index
+        that becomes the child's.
         Raises UnknownConstant for statements about undeclared constants,
         DepthExhausted for declared heights above the depth bound, and
         ValueError for a height that contradicts one already declared.
@@ -175,13 +182,6 @@ class PartialStructure:
 
         stmts = set(self.statements)
         heights = dict(self._heights)
-        fresh = frozenset(new_consts)
-        joins: list[tuple[str, ...]] = []
-        # A split needs a join and a disjointness.  A new disjointness that
-        # names a new constant can only pair with a new join; one between two
-        # old constants may pair with an old join, and then the split index
-        # is left to a rescan.
-        rescan = False
         for st in statements:
             for op in st.operands:
                 if op not in known:
@@ -201,10 +201,6 @@ class PartialStructure:
                     raise ValueError(
                         f"conflicting heights {prev} and {st.value} for {symbol!r}"
                     )
-            elif st.kind is StatementKind.JOIN_EQ:
-                joins.append(st.operands)
-            elif st.kind is StatementKind.DISJOINT:
-                rescan = rescan or fresh.isdisjoint(st.operands)
             stmts.add(st)
         for c in new_consts:
             stmts.add(Statement.join_eq(self.zero, c, c))
@@ -218,12 +214,8 @@ class PartialStructure:
             one=self.one,
             counter=self.counter if counter is None else counter,
         )
-        # Seed the cached indexes, which would otherwise rescan everything.
+        # Seed the cached height index, which would otherwise rescan everything.
         child.__dict__["_heights"] = heights
-        if not rescan:
-            splits = dict(self._splits)
-            _record_splits(splits, joins, stmts)
-            child.__dict__["_splits"] = splits
         return child
 
     def renamed(self, mapping: dict[str, str]) -> "PartialStructure":
@@ -245,17 +237,6 @@ class PartialStructure:
             one=self.one,
             counter=self.counter,
         )
-
-
-def _record_splits(index: dict, joins, statements) -> None:
-    """Record each join ``b join c = symbol`` (symbol neither part) whose
-    parts the statements declare disjoint; per symbol the least (b, c)
-    stays."""
-    for b, c, symbol in joins:
-        if symbol in (b, c) or Statement.disjoint(b, c) not in statements:
-            continue
-        if symbol not in index or (b, c) < index[symbol]:
-            index[symbol] = (b, c)
 
 
 def initial_structure(depth_bound: int) -> PartialStructure:
@@ -366,17 +347,20 @@ def saturate_splits(structure: PartialStructure) -> PartialStructure:
 
     Splits are as even as possible, so a structure started at depth 2^d
     becomes a perfect binary split tree with 2^d height-1 leaves.
+
+    One pass over the constants in declaration order, each split appending
+    its two fresh parts: heights never change and a split marks only its own
+    target, so no constant passed can become due, and the given structure
+    says which constants were split on entry.
     """
-    while True:
-        target = None
-        for c in structure.constants:
-            h = structure.height_of(c)
-            if h is not None and h >= 2 and structure.split_of(c) is None:
-                target = c
-                break
-        if target is None:
-            return structure
-        structure = split_element(structure, target)
+    out = structure
+    queue = list(structure.constants)
+    for c in queue:
+        h = out.height_of(c)
+        if h is not None and h >= 2 and structure.split_of(c) is None:
+            out = split_element(out, c)
+            queue.extend(out.constants[-2:])
+    return out
 
 
 def build_tree(depth: int) -> PartialStructure:
@@ -608,6 +592,7 @@ def _all_boolean_sublattices(lat: FiniteLattice) -> list[BooleanSublattice]:
                 grow(blocks + [z], join_t[join_so_far][z], i + 1)
 
     grow([], lat.bottom, 0)
+    del grow  # it holds itself through its closure: free this call's state now
     out.sort(key=lambda s: (len(s.elements), s.elements))
     return out
 
@@ -1067,15 +1052,14 @@ def verify_projective_pipeline(n: int, q: int) -> PipelineReport:
     pairs down to a height-1 meet."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    # From n = 2 on, atom pairs are closed inside the target, so its size is
-    # held against the ambient cap before anything is built.
-    if n >= 2 and _is_prime(q):
-        size = _subspace_count(n, q)
-        cap = ambient_cap()
-        if size > cap:
-            raise SizeBound(
-                f"{size} subspaces exceeds the sublattice enumeration cap of {cap}"
-            )
+    # Atom pairs are closed inside the target, so its size is held against
+    # the ambient cap before anything is built.
+    size = subspace_count(n, q)
+    cap = ambient_cap()
+    if size > cap:
+        raise SizeBound(
+            f"{size} subspaces exceeds the sublattice enumeration cap of {cap}"
+        )
     stages: dict[str, dict] = {}
     report = PipelineReport("projective", {"n": n, "q": q}, stages)
     lat = subspace_lattice(n, q)

@@ -12,7 +12,9 @@ closure, covers and heights and rejects cycles with a witness; the tables
 then come by recursion over covers, and non-lattices are rejected with a
 witness.  Generators elsewhere in the package reuse :class:`FiniteLattice`
 directly, seeding closed-form heights and covers; any other lattice derives
-both from ``leq`` with the same pass, on first use.
+both from ``leq`` with the same pass, on first use.  The law deciders'
+premise, :meth:`FiniteLattice.tables_match_order`, recomputes all of them
+with the same two algorithms and compares.
 """
 
 from __future__ import annotations
@@ -186,13 +188,13 @@ class FiniteLattice:
         return int(self.join_table[x, y])
 
     @functools.cached_property
-    def _derived_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (covers, heights) from one :func:`_order` call on ``leq``,
-        for whichever of the two no constructor seeded."""
-        _, covers, heights = _order(self.leq, self.labels)
-        covers.setflags(write=False)
-        heights.setflags(write=False)
-        return covers, heights
+    def _derived_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (closure, covers, heights) from one :func:`_order` call
+        on ``leq``, shared by the lazy covers and heights and the premise."""
+        derived = _order(self.leq, self.labels)
+        for arr in derived:
+            arr.setflags(write=False)
+        return derived
 
     @functools.cached_property
     def heights(self) -> np.ndarray:
@@ -202,7 +204,7 @@ class FiniteLattice:
         seeded them, and shared by every caller.  Raises NotAPartialOrder
         when ``leq`` has a cycle.
         """
-        return self._derived_order[1]
+        return self._derived_order[2]
 
     def _set_heights(self, heights: np.ndarray) -> None:
         heights.setflags(write=False)
@@ -227,12 +229,6 @@ class FiniteLattice:
             out = int(self.join_table[out, x])
         return out
 
-    def meet_all(self, xs) -> ElementId:
-        out = self.top
-        for x in xs:
-            out = int(self.meet_table[out, x])
-        return out
-
     @functools.cached_property
     def covers(self) -> np.ndarray:
         """Read-only cover matrix: [x, y] iff x < y with nothing between.
@@ -242,7 +238,7 @@ class FiniteLattice:
         generating relation, so only its given pairs can be covers.  Raises
         NotAPartialOrder when ``leq`` has a cycle.
         """
-        return self._derived_order[0]
+        return self._derived_order[1]
 
     def _set_covers(self, covers: np.ndarray) -> None:
         covers.setflags(write=False)
@@ -255,11 +251,11 @@ class FiniteLattice:
         return list(zip((flat // self.size).tolist(), (flat % self.size).tolist()))
 
     def tables_match_order(self) -> bool:
-        """True iff ``leq`` is a partial order (reflexive, antisymmetric,
-        transitive) whose least upper and greatest lower bounds all exist and
-        equal the stored join and meet tables.
+        """True iff ``leq`` is a partial order whose bounds, covers and
+        heights are the stored tables, covers and heights.
 
-        Verified once per object; :func:`build_lattice` records it when it
+        Recomputed once per object by :func:`_order` and
+        :func:`_order_bounds`; :func:`build_lattice` records it when it
         derives the tables.  The law deciders in :mod:`latlab.props` rest
         their theorem-backed answers on it.
         """
@@ -268,17 +264,22 @@ class FiniteLattice:
         return self._tables_match_order
 
     def _verify_tables(self) -> bool:
-        leq = self.leq
-        if not leq.diagonal().all():
+        try:
+            leq, covers, heights = self._derived_order
+        except NotAPartialOrder:
             return False
-        if (leq & leq.T & ~np.eye(self.size, dtype=bool)).any():
+        if not (
+            np.array_equal(leq, self.leq)
+            and np.array_equal(covers, self.covers)
+            and np.array_equal(heights, self.heights)
+        ):
             return False
-        f = leq.astype(np.float32)
-        if (((f @ f) > 0.5) & ~leq).any():
-            return False
-        covers = self.covers
-        return _is_join_table(leq, covers, self.join_table) and _is_join_table(
-            leq.T, covers.T, self.meet_table
+        self._derived_order = (self.leq, self.covers, self.heights)  # equal: drop the copies
+        tables = _order_bounds(leq, covers, heights)
+        return (
+            tables is not None
+            and np.array_equal(tables[0], self.meet_table)
+            and np.array_equal(tables[1], self.join_table)
         )
 
     def index_of(self, label: str) -> ElementId:
@@ -357,34 +358,6 @@ def _least_upper_bounds(leq: np.ndarray, covers: np.ndarray, rank: np.ndarray) -
                     return None
             lub[a:b] = np.where(below, xs, least)
     return perm.astype(np.int32)[lub[np.ix_(inv, inv)]]
-
-
-def _is_join_table(leq: np.ndarray, covers: np.ndarray, table: np.ndarray) -> bool:
-    """True iff ``table`` holds the least upper bound of every pair of the
-    finite partial order ``leq``.
-
-    By downward induction over the order, table[x, y] is the least upper
-    bound iff it is an upper bound of x and y, equals x when y <= x, and
-    otherwise lies below table[c, y] for every cover c of x: every upper
-    bound of {x, y} other than x lies above some cover of x.  One gather per
-    cover pair, so no rank levels and no second table are needed.
-    """
-    n = leq.shape[0]
-    if table.size and (table.min() < 0 or table.max() >= n):
-        return False
-    idx = np.arange(n, dtype=np.int32)
-    below = leq.T  # [x, y] = y <= x
-    if not (leq[idx[:, None], table].all() and leq[idx[None, :], table].all()):
-        return False
-    if not ((table == idx[:, None]) | ~below).all():
-        return False
-    xs, ups = np.nonzero(covers)
-    step = max(1, _STEP_ENTRIES // n)
-    for start in range(0, xs.size, step):
-        x, c = xs[start : start + step], ups[start : start + step]
-        if not (leq[table[x], table[c]] | below[x]).all():
-            return False
-    return True
 
 
 def _order_bounds(leq: np.ndarray, covers: np.ndarray, heights: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -543,6 +516,7 @@ def chains_between(lat: FiniteLattice, a: ElementId, b: ElementId) -> list[Chain
                 descend(prefix + [e])
 
     descend([hi])
+    del descend  # it holds itself through its closure: free this call's state now
     out.sort(key=lambda c: (len(c.elements), c.elements))
     return out
 

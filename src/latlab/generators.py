@@ -7,7 +7,8 @@ and covers (both lattices are graded, so x is covered by y iff x <= y and
 y is one rank higher).  Boolean tables are bitwise; subspace spans and
 containment are array products, and subspace tables come from core's
 recursion over those covers.  The validating path through build_lattice is
-reserved for the tiny fixtures and user input.
+reserved for the tiny fixtures and user input.  Every generator checks its
+size before it builds anything.
 """
 
 from __future__ import annotations
@@ -64,8 +65,17 @@ def _gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def _subspace_count(n: int, q: int) -> int:
-    """Number of subspaces of F_q^n, of every dimension."""
+def subspace_count(n: int, q: int) -> int:
+    """Number of subspaces of F_q^n, of every dimension, after checking
+    n >= 1, then the vector cap, then that q is prime: cheapest first, and
+    for q >= 2 an n of MAX_VECTORS' bit length or more exceeds the cap
+    without forming q^n.  Raises ValueError or SizeBound."""
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    if q >= 2 and (n >= MAX_VECTORS.bit_length() or q**n > MAX_VECTORS):
+        raise SizeBound(f"{q}^{n} vectors exceeds the cap of {MAX_VECTORS}")
+    if not _is_prime(q):
+        raise ValueError(f"field order {q} is not prime")
     return sum(_gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
@@ -103,13 +113,7 @@ def subspace_lattice(dimension: int, field_order: int) -> FiniteLattice:
     and labels are canonical.
     """
     n, q = dimension, field_order
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if not _is_prime(q):
-        raise ValueError(f"field order {q} is not prime")
-    if q**n > MAX_VECTORS:
-        raise SizeBound(f"{q}^{n} vectors exceeds the cap of {MAX_VECTORS}")
-    size = _subspace_count(n, q)
+    size = subspace_count(n, q)
     cap = element_cap()
     if size > cap:
         raise SizeBound(f"{size} subspaces exceeds the cap of {cap}")
@@ -167,6 +171,9 @@ def chain(k: int) -> FiniteLattice:
     """Total order on k elements."""
     if k < 2:
         raise ValueError("chain needs k >= 2")
+    cap = element_cap()
+    if k > cap:
+        raise SizeBound(f"{k} elements exceeds the cap of {cap}")
     labels = [str(i) for i in range(k)]
     pairs = [(i, i + 1) for i in range(k - 1)]
     return build_lattice(labels, pairs, name=f"chain_{k}")

@@ -130,6 +130,7 @@ def max_independent_set(lat: FiniteLattice) -> tuple[ElementId, ...]:
                 extend(cand, i + 1)
 
     extend([], 0)
+    del extend  # it holds itself through its closure: free this call's state now
     return tuple(best)
 
 

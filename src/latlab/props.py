@@ -4,7 +4,8 @@ Every checker returns a :class:`LawReport`, and every "holds" answer is the
 result of a full scan (no sampling) or of a named theorem whose premise is
 verified.  The premise, :meth:`FiniteLattice.tables_match_order`, is that
 ``leq`` is a partial order whose least upper and greatest lower bounds are
-the stored tables.  Given it:
+the stored tables, and whose covers and heights are the stored ones, which
+the theorems below read.  Given it:
 
 - the lattice axioms hold, since the bounds of a partial order form a lattice;
 - the lattice is distributive iff every join-irreducible element is

@@ -66,7 +66,9 @@ def chain_height(lat: FiniteLattice, x: ElementId) -> int:
         below = [z for z in range(lat.size) if z != e and lat.le(z, e)]
         return 1 + max((rec(z) for z in below), default=-1)
 
-    return rec(int(x))
+    height = rec(int(x))
+    del rec  # it holds itself through its closure: free this call's state now
+    return height
 
 
 def _violates_axioms(lat: FiniteLattice, witness) -> bool:

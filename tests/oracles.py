@@ -14,7 +14,9 @@ not, and are the reference those fast paths must match exactly.  The
 order-derivation section freezes the squaring closure, square-read covers
 and argsort heights that ``core._order`` replaced.  The write-path section
 freezes the ``argwhere`` cover pairs and the ``json.dumps`` document body
-that ``upper_neighbors`` and ``LatticeDocument.to_json`` replaced.
+that ``upper_neighbors`` and ``LatticeDocument.to_json`` replaced.  The last
+section freezes the premise check with its own lub verifier, and
+``saturate_splits`` as a rescan of every constant after each split.
 """
 
 import itertools
@@ -661,3 +663,72 @@ def json_dumps_document(doc):
         "order": [[a, b] for a, b in doc.order],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# ----- premise and split-saturation reference -------------------------------
+#
+# Frozen copies of ``FiniteLattice.tables_match_order``'s check before it
+# recomputed through the order kernel and the cover recursion, and of
+# ``saturate_splits`` before it became one queue pass.
+
+
+def _is_join_table(leq, covers, table, step_entries=1 << 22):
+    """True iff ``table`` holds the least upper bound of every pair of the
+    finite partial order ``leq``.
+
+    By downward induction over the order, table[x, y] is the least upper
+    bound iff it is an upper bound of x and y, equals x when y <= x, and
+    otherwise lies below table[c, y] for every cover c of x: every upper
+    bound of {x, y} other than x lies above some cover of x.
+    """
+    n = leq.shape[0]
+    if table.size and (table.min() < 0 or table.max() >= n):
+        return False
+    idx = np.arange(n, dtype=np.int32)
+    below = leq.T  # [x, y] = y <= x
+    if not (leq[idx[:, None], table].all() and leq[idx[None, :], table].all()):
+        return False
+    if not ((table == idx[:, None]) | ~below).all():
+        return False
+    xs, ups = np.nonzero(covers)
+    step = max(1, step_entries // n)
+    for start in range(0, xs.size, step):
+        x, c = xs[start : start + step], ups[start : start + step]
+        if not (leq[table[x], table[c]] | below[x]).all():
+            return False
+    return True
+
+
+def verify_tables(lat):
+    """The premise as it was: ``leq`` reflexive, antisymmetric and, by one
+    float32 product, transitive; then both tables checked against the
+    lattice's covers, seeded or derived, by the lub verifier."""
+    leq = lat.leq
+    if not leq.diagonal().all():
+        return False
+    if (leq & leq.T & ~np.eye(lat.size, dtype=bool)).any():
+        return False
+    f = leq.astype(np.float32)
+    if (((f @ f) > 0.5) & ~leq).any():
+        return False
+    covers = lat.covers
+    return _is_join_table(leq, covers, lat.join_table) and _is_join_table(
+        leq.T, covers.T, lat.meet_table
+    )
+
+
+def rescan_saturate_splits(structure):
+    """Split the first unsplit constant of height >= 2, in declaration
+    order, rescanning every constant after each split, until none is left."""
+    from latlab.construction import split_element
+
+    while True:
+        target = None
+        for c in structure.constants:
+            h = structure.height_of(c)
+            if h is not None and h >= 2 and structure.split_of(c) is None:
+                target = c
+                break
+        if target is None:
+            return structure
+        structure = split_element(structure, target)

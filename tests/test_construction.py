@@ -26,6 +26,7 @@ from latlab import (
     boolean_lattice,
     build_tree,
     chain,
+    chains_between,
     coplanar_lines_structure,
     derive_independent_atoms,
     diamond_m3,
@@ -33,6 +34,7 @@ from latlab import (
     find_realization,
     initial_structure,
     line_probe_structure,
+    max_independent_set,
     pentagon_n5,
     satisfies,
     saturate_splits,
@@ -44,11 +46,14 @@ from latlab import (
     verify_projective_pipeline,
 )
 
-from latlab import construction
+from latlab import construction, generators
+from latlab.cli import main
+from latlab.witness import chain_height
 from oracles import (
     all_realizations,
     naive_realization_exists,
     rebuild_extend,
+    rescan_saturate_splits,
     scan_boolean_sublattices,
     scan_height_of,
     scan_split_of,
@@ -189,6 +194,16 @@ def test_saturate_splits_leaves_atoms_only():
     )
 
 
+def test_split_trees_match_the_frozen_rescan():
+    for depth in range(1, 9):
+        s = initial_structure(depth)
+        _assert_same_structure(saturate_splits(s), rescan_saturate_splits(s))
+    for depth in range(1, 7):
+        tree = rescan_saturate_splits(initial_structure(2**depth))
+        want = tree.renamed({c: f"p{i + 1}" for i, c in enumerate(tree.leaves())})
+        _assert_same_structure(build_tree(depth), want)
+
+
 def test_renamed_validation():
     t = build_tree(1)
     assert t.renamed({"p1": "left", "p2": "right"}).leaves() == ("left", "right")
@@ -260,15 +275,31 @@ def test_pinned_search():
     assert find_realization(t, b3, pin={"c1": b3.top}) is None
 
 
-def test_realization_search_leaves_no_cyclic_garbage():
+@pytest.mark.parametrize(
+    "search",
+    ["find_realization", "boolean_sublattices", "chains_between",
+     "max_independent_set", "chain_height"],
+)
+def test_search_leaves_no_cyclic_garbage(search):
+    # Each search recurses through a nested function that holds itself
+    # through its closure; it must break that cycle on return.
     fano = subspace_lattice(3, 2)
     probe = line_probe_structure(3)
     line = next(e for e in range(fano.size) if fano.height(e) == 2)
+    calls = {
+        "find_realization": lambda: (
+            find_realization(probe, fano, pin={"l": line}) is not None
+            and find_realization(probe, fano, pin={"l": fano.top}) is None
+        ),
+        "boolean_sublattices": lambda: enumerate_boolean_sublattices(fano),
+        "chains_between": lambda: chains_between(fano, fano.top, fano.bottom),
+        "max_independent_set": lambda: len(max_independent_set(fano)) == 3,
+        "chain_height": lambda: chain_height(fano, fano.top) == 3,
+    }
     gc.collect()
     gc.disable()
     try:
-        assert find_realization(probe, fano, pin={"l": line}) is not None
-        assert find_realization(probe, fano, pin={"l": fano.top}) is None
+        assert calls[search]()
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -434,7 +465,7 @@ def test_boolean_pipeline_passes_small_ranks():
 
 
 def _refuse(*args, **kwargs):
-    raise AssertionError("the ambient lattice was built before the size check")
+    raise AssertionError("work began before the size check")
 
 
 def test_boolean_pipeline_bounds(monkeypatch):
@@ -451,11 +482,37 @@ def test_boolean_pipeline_reaches_the_ambient_cap():
     assert all(stage["ok"] for stage in rep.stages.values()), rep.to_dict()
 
 
-@pytest.mark.parametrize("n, q", [(6, 2), (3, 13)])
+@pytest.mark.parametrize(
+    "n, q", [(6, 2), (3, 13), (600, 2), (3000, 2), (1, 10000000000000061)]
+)
 def test_projective_pipeline_bounds_come_before_generation(monkeypatch, n, q):
     monkeypatch.setattr(construction, "subspace_lattice", _refuse)
     with pytest.raises(SizeBound):
         verify_projective_pipeline(n, q)
+
+
+# Requests whose size is decided by a bound that needs neither the subspace
+# count nor a primality test, nor any element built.
+HOSTILE_REQUESTS = [
+    ("verify", "projective", "--n", "600", "--q", "2"),
+    ("verify", "projective", "--n", "3000", "--q", "2"),
+    ("verify", "projective", "--n", "1", "--q", "10000000000000061"),
+    ("gen", "subspace", "--n", "1", "--q", "10000000000000061"),
+    ("gen", "subspace", "--n", "1000000000", "--q", "2"),
+    ("gen", "chain", "--n", "20000000"),
+]
+
+
+@pytest.mark.parametrize("argv", HOSTILE_REQUESTS, ids=" ".join)
+def test_hostile_requests_exit_2_before_any_work(monkeypatch, capsys, argv):
+    for name in ("_is_prime", "_gaussian_binomial", "_rref_bases", "build_lattice"):
+        monkeypatch.setattr(generators, name, _refuse)
+    monkeypatch.setattr(construction, "subspace_lattice", _refuse)
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("latlab: SizeBound: ")
+    assert captured.err.count("\n") == 1 and "exceeds the cap of" in captured.err
 
 
 def test_projective_pipeline_passes():
@@ -621,6 +678,24 @@ def test_extend_matches_the_frozen_rebuild(depth, steps):
             frozen = _grow(frozen, kind, pick)
         s = grown
         _assert_same_structure(s, frozen)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2**16)), max_size=10),
+)
+def test_saturate_splits_matches_the_frozen_rescan(depth, steps):
+    # Kind 4 declares a constant with no height, which no split can target.
+    s = initial_structure(depth)
+    for kind, pick in steps:
+        if kind == 4:
+            name = f"u{pick}"
+            grown = None if name in s.constants else s.extend((name,))
+        else:
+            grown = _grow(s, kind, pick)
+        s = grown or s
+    _assert_same_structure(saturate_splits(s), rescan_saturate_splits(s))
 
 
 def test_extend_rejects_what_the_frozen_rebuild_rejects():

@@ -224,14 +224,20 @@ def test_build_lattice_computes_heights_once(monkeypatch):
 def test_hand_built_lattice_derives_covers_and_heights_in_one_call(monkeypatch):
     lattices = (pentagon_n5(), subspace_lattice(2, 3), boolean_lattice(4))
     results = _count_order_calls(monkeypatch)
-    for first in ("covers", "heights"):
+    readers = {
+        "covers": lambda lat: lat.covers,
+        "heights": lambda lat: lat.heights,
+        "tables_match_order": lambda lat: lat.tables_match_order(),
+    }
+    for first in readers:
         for lat in lattices:
             hand = core.FiniteLattice(lat.labels, lat.leq, lat.bottom, lat.top,
                                       lat.meet_table, lat.join_table)
             results.clear()
-            getattr(hand, first)
+            readers[first](hand)
             assert np.array_equal(hand.covers, lat.covers), lat.name
             assert np.array_equal(hand.heights, lat.heights), lat.name
+            assert hand.tables_match_order(), lat.name
             assert len(results) == 1, lat.name
 
 

@@ -46,6 +46,7 @@ from oracles import (
     scan_lattice_axioms,
     scan_modular,
     squaring_order,
+    verify_tables,
 )
 
 DECIDERS = (
@@ -273,6 +274,18 @@ def _forged(lat, table, x, y, value):
                          name=f"{lat.name}:{table}[{x},{y}]={value}")
 
 
+def _hand_built(lat, covers=None, heights=None):
+    """``lat``'s order and tables in a fresh object, which derives its own
+    covers and heights and checks its premise unless some are seeded."""
+    hand = FiniteLattice(lat.labels, lat.leq, lat.bottom, lat.top, lat.meet_table,
+                         lat.join_table, name=lat.name)
+    if covers is not None:
+        hand._set_covers(covers)
+    if heights is not None:
+        hand._set_heights(heights)
+    return hand
+
+
 def _intransitive(lat, x, y):
     leq = lat.leq.copy()
     leq[x, y] = False
@@ -282,7 +295,8 @@ def _intransitive(lat, x, y):
 
 # Each forgery sits in a lattice whose order breaks the law too, so the
 # witness's order-based re-check applies.  The intransitive chain keeps
-# lattice tables, so its axioms still hold by scan.
+# lattice tables, so its axioms still hold by scan.  The last two seed covers
+# or heights that disagree with the order; the theorems read both.
 GATE_CASES = [
     (check_lattice_axioms, scan_lattice_axioms, lambda: _forged(boolean_lattice(2), "meet", 1, 2, 3)),
     (check_lattice_axioms, scan_lattice_axioms, lambda: _intransitive(chain(3), 0, 2)),
@@ -290,6 +304,10 @@ GATE_CASES = [
     (is_distributive, scan_distributive, lambda: _intransitive(diamond_m3(), 0, 4)),
     (is_modular, scan_modular, lambda: _forged(pentagon_n5(), "meet", 2, 3, 1)),
     (is_modular, scan_modular, lambda: _intransitive(pentagon_n5(), 0, 4)),
+    (is_distributive, scan_distributive,
+     lambda: _hand_built(diamond_m3(), covers=np.zeros((5, 5), dtype=bool))),
+    (is_modular, scan_modular,
+     lambda: _hand_built(pentagon_n5(), heights=np.zeros(5, dtype=np.int32))),
 ]
 
 
@@ -313,8 +331,57 @@ def test_any_forged_entry_fails_the_premise(lattice, table, data):
     value = data.draw(st.integers(0, lat.size - 1).filter(lambda v: v != true))
     forged = _forged(lat, table, x, y, value)
     assert not forged.tables_match_order()
+    assert not verify_tables(forged)
     for decide, scan in DECIDERS:
         assert decide(forged) == scan(forged)
+
+
+def test_seeded_covers_that_disagree_with_the_order_fail_the_premise():
+    # With no covers, M3 has no join-irreducibles, so the Birkhoff test
+    # passes vacuously; the frozen check accepted these covers.
+    m3 = _hand_built(diamond_m3(), covers=np.zeros((5, 5), dtype=bool))
+    assert verify_tables(m3)
+    assert not m3.tables_match_order()
+    report = is_distributive(m3)
+    assert not report.holds and report.witness == (1, 2, 3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(dm_completions(), st.data())
+def test_premise_matches_the_frozen_verifier_on_dm_completions(lattice, data):
+    lat = build_lattice(*lattice)
+    assert _hand_built(lat).tables_match_order()
+    assert verify_tables(_hand_built(lat))
+    x, y = data.draw(st.tuples(*[st.integers(0, lat.size - 1)] * 2))
+    covers = lat.covers.copy()
+    covers[x, y] = not covers[x, y]
+    heights = lat.heights.copy()
+    heights[x] += 1
+    assert not _hand_built(lat, covers=covers).tables_match_order()
+    assert not _hand_built(lat, heights=heights).tables_match_order()
+
+
+@settings(max_examples=300, deadline=None)
+@given(generating_relations(), st.sampled_from(["raw", "reflexive", "closed"]), st.data())
+def test_premise_matches_the_frozen_verifier_on_hand_built_relations(relation, form, data):
+    labels, pairs = relation
+    n = len(labels)
+    leq = {
+        "raw": _relation(n, pairs),
+        "reflexive": _relation(n, pairs) | np.eye(n, dtype=bool),
+        "closed": _closed(n, pairs),
+    }[form]
+    try:
+        lat = build_lattice(labels, pairs)
+        tables = (lat.meet_table, lat.join_table)
+    except (NotAPartialOrder, NoBoundingElements, NotALattice):
+        cells = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+        tables = tuple(np.array(data.draw(cells)).reshape(n, n) for _ in "mj")
+
+    def hand():
+        return FiniteLattice(labels, leq, 0, n - 1, *tables)
+
+    assert hand().tables_match_order() == verify_tables(hand())
 
 
 def test_forged_table_over_a_distributive_order_fails_by_scan():

@@ -14,6 +14,8 @@ from latlab import (
     pentagon_n5,
     subspace_lattice,
 )
+from latlab import generators
+from latlab.limits import MAX_VECTORS, element_cap
 
 from oracles import (
     count_subsets,
@@ -115,6 +117,24 @@ def test_subspace_parameter_validation():
         subspace_lattice(9, 7)  # 7^9 vectors is over the cap
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("work began before the size check")
+
+
+def test_subspace_parameters_are_checked_cheapest_first(monkeypatch):
+    with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+        generators.subspace_count(0, 4)
+    monkeypatch.setattr(generators, "_is_prime", _refuse)
+    monkeypatch.setattr(generators, "_gaussian_binomial", _refuse)
+    for n, q in [(13, 2), (3, 17), (1, 4099), (10**9, 2), (1, 10000000000000061)]:
+        with pytest.raises(SizeBound, match=rf"^{q}\^{n} vectors exceeds the cap of {MAX_VECTORS}$"):
+            generators.subspace_count(n, q)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="^field order 4 is not prime$"):
+        generators.subspace_count(3, 4)
+    assert generators.subspace_count(12, 2) == sum(gaussian_binomial(12, k, 2) for k in range(13))
+
+
 def test_small_counterexample_shapes():
     m3 = diamond_m3()
     assert m3.size == 5 and len(m3.atoms()) == 3
@@ -133,6 +153,8 @@ def test_chain_generator():
         assert all(c.le(i, j) == (i <= j) for i in range(k) for j in range(k))
     with pytest.raises(ValueError):
         chain(1)
+    with pytest.raises(SizeBound, match=f"^20000000 elements exceeds the cap of {element_cap()}$"):
+        chain(20000000)
 
 
 def test_subspace_label_determinism():
@@ -148,6 +170,8 @@ def test_subspace_label_determinism():
 def _assert_premise_verified(lat):
     assert lat._tables_match_order is None, lat.name  # not preset
     assert lat.tables_match_order(), lat.name
+    # The recomputed order equals the seeded one, so no second copy is kept.
+    assert all(a is b for a, b in zip(lat._derived_order, (lat.leq, lat.covers, lat.heights)))
 
 
 def _assert_seeded_covers(lat):
