@@ -12,6 +12,7 @@ byte-identical report bodies.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -28,7 +29,7 @@ from .document import (
 from .errors import LatticeError
 from .generators import boolean_lattice, chain, diamond_m3, pentagon_n5, subspace_lattice
 from .props import Law, LawReport
-from .witness import LAWS
+from .witness import LAWS, law_checker
 
 
 class _UsageError(Exception):
@@ -99,9 +100,10 @@ def _cmd_check(args) -> int:
     doc = _read_document(args.input)
     lat = document_to_lattice(doc)
     results = {}
+    check = law_checker(lat, args.n)
     for law in _requested_laws(args.laws, args.n):
         try:
-            report = LAWS[law].check(lat, args.n)
+            report = check(law)
         except LatticeError as exc:
             report = LawReport(law, False, None, f"check aborted: {exc}")
         results[law.value] = report.to_dict(lat)
@@ -146,7 +148,10 @@ def _cmd_export(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing reads it and
+    leaves it unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="latlab",
         description="Finite lattice laboratory: generators, law checks, "

@@ -1,20 +1,22 @@
-"""Finite bounded lattices with explicit order and precomputed bound tables.
+"""Finite bounded lattices with explicit order and bound tables.
 
 A :class:`FiniteLattice` stores element labels, the full ``leq`` relation as a
-boolean matrix, the global bottom and top, total meet/join tables, and, once
-first needed, its element heights and cover matrix.
+boolean matrix, the global bottom and top, and, once first needed, its
+element heights, cover matrix and total meet/join tables.
 Elements are addressed by index (``ElementId``); labels exist for rendering.
 Instances are immutable after construction: all arrays are marked read-only.
 
 :func:`build_lattice` is the validating constructor: one topological pass
 over the given relation (:func:`_order`) yields its reflexive-transitive
-closure, covers and heights and rejects cycles with a witness; the tables
-then come by recursion over covers, and non-lattices are rejected with a
-witness.  Generators elsewhere in the package reuse :class:`FiniteLattice`
-directly, seeding closed-form heights and covers; any other lattice derives
-both from ``leq`` with the same pass, on first use.  The law deciders'
-premise, :meth:`FiniteLattice.tables_match_order`, recomputes all of them
-with the same two algorithms and compares.
+closure, covers and heights and rejects cycles with a witness; the join
+table then comes by recursion over covers, and non-lattices are rejected
+with a witness.  The meet table comes by the same recursion over the dual
+order on first read.  Generators elsewhere in the package reuse
+:class:`FiniteLattice` directly, seeding closed-form heights and covers; any
+other lattice derives both from ``leq`` with the same pass, on first use.
+The law deciders' premise, :meth:`FiniteLattice.tables_match_order`,
+recomputes the order and every table passed in with the same two algorithms
+and compares.
 """
 
 from __future__ import annotations
@@ -158,17 +160,23 @@ def _graded_covers(leq: np.ndarray, heights: np.ndarray) -> np.ndarray:
 class FiniteLattice:
     """Explicit finite lattice over indexed, labelled elements."""
 
-    def __init__(self, labels, leq, bottom, top, meet_table, join_table, name=""):
+    def __init__(self, labels, leq, bottom, top, meet_table=None, join_table=None, name=""):
         self.labels = tuple(str(lab) for lab in labels)
         self.size = len(self.labels)
         self.name = name or f"lattice{self.size}"
         self.leq = np.ascontiguousarray(leq, dtype=bool)
+        self.leq.setflags(write=False)
         self.bottom = int(bottom)
         self.top = int(top)
-        self.meet_table = np.ascontiguousarray(meet_table, dtype=np.int32)
-        self.join_table = np.ascontiguousarray(join_table, dtype=np.int32)
-        for arr in (self.leq, self.meet_table, self.join_table):
-            arr.setflags(write=False)
+        # Tables passed in are the premise's to check; the others are derived
+        # on first read from the lattice's own covers and heights.
+        self._given_tables: list[str] = []
+        for attr, table in (("meet_table", meet_table), ("join_table", join_table)):
+            if table is not None:
+                table = np.ascontiguousarray(table, dtype=np.int32)
+                table.setflags(write=False)
+                setattr(self, attr, table)
+                self._given_tables.append(attr)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._tables_match_order: bool | None = None
 
@@ -250,14 +258,45 @@ class FiniteLattice:
         flat = np.flatnonzero(self.covers)
         return list(zip((flat // self.size).tolist(), (flat % self.size).tolist()))
 
+    @functools.cached_property
+    def meet_table(self) -> np.ndarray:
+        """Read-only meet table: passed in, or derived on first read by
+        :func:`_least_upper_bounds` over the dual of the lattice's covers and
+        heights.  Raises NotALattice when some pair has no meet."""
+        return self._derived_table(meet=True)
+
+    @functools.cached_property
+    def join_table(self) -> np.ndarray:
+        """Read-only join table: passed in, or derived on first read like
+        ``meet_table``.  Raises NotALattice when some pair has no join."""
+        return self._derived_table(meet=False)
+
+    def _bounds(self, meet: bool) -> np.ndarray | None:
+        """Join table, or the meet table as the joins of the dual order (its
+        covers transposed, its rank the height from the top), by recursion
+        over the covers and heights; None when some pair lacks the bound."""
+        if meet:
+            return _least_upper_bounds(self.leq.T, self.covers.T, self.heights.max() - self.heights)
+        return _least_upper_bounds(self.leq, self.covers, self.heights)
+
+    def _derived_table(self, meet: bool) -> np.ndarray:
+        table = self._bounds(meet)
+        if table is None:
+            # The scan names the lexicographically first pair without a bound.
+            table = _scan_bound_tables(self.leq, self.heights, self.labels)[0 if meet else 1]
+        table.setflags(write=False)
+        return table
+
     def tables_match_order(self) -> bool:
         """True iff ``leq`` is a partial order whose bounds, covers and
         heights are the stored tables, covers and heights.
 
-        Recomputed once per object by :func:`_order` and
-        :func:`_order_bounds`; :func:`build_lattice` records it when it
-        derives the tables.  The law deciders in :mod:`latlab.props` rest
-        their theorem-backed answers on it.
+        Recomputed once per object by :func:`_order` and, for each table
+        passed in, :func:`_least_upper_bounds`; a table the object derives
+        is that recursion's output over the covers and heights checked here.
+        :func:`build_lattice` records it when it derives the tables.  The law
+        deciders in :mod:`latlab.props` rest their theorem-backed answers on
+        it.
         """
         if self._tables_match_order is None:
             self._tables_match_order = self._verify_tables()
@@ -275,12 +314,17 @@ class FiniteLattice:
         ):
             return False
         self._derived_order = (self.leq, self.covers, self.heights)  # equal: drop the copies
-        tables = _order_bounds(leq, covers, heights)
-        return (
-            tables is not None
-            and np.array_equal(tables[0], self.meet_table)
-            and np.array_equal(tables[1], self.join_table)
-        )
+        for meet, attr in ((False, "join_table"), (True, "meet_table")):
+            if attr in self._given_tables:
+                table = self._bounds(meet)
+                if table is None or not np.array_equal(table, getattr(self, attr)):
+                    return False
+            else:
+                try:
+                    getattr(self, attr)
+                except NotALattice:
+                    return False
+        return True
 
     def index_of(self, label: str) -> ElementId:
         return self._index[label]
@@ -360,17 +404,19 @@ def _least_upper_bounds(leq: np.ndarray, covers: np.ndarray, rank: np.ndarray) -
     return perm.astype(np.int32)[lub[np.ix_(inv, inv)]]
 
 
-def _order_bounds(leq: np.ndarray, covers: np.ndarray, heights: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(meet, join) tables of a finite partial order, or None when some
-    pair lacks a bound.  Meets are joins of the dual order, whose covers are
-    the transposed covers and whose rank is the height from the top."""
-    join = _least_upper_bounds(leq, covers, heights)
-    if join is None:
-        return None
-    meet = _least_upper_bounds(leq.T, covers.T, heights.max() - heights)
-    if meet is None:
-        return None
-    return meet, join
+def _first_pair(count: int, bad_rows) -> tuple[int, int] | None:
+    """The least (i, j), 0 <= i < j < count, in row-major order with
+    ``bad_rows(a, b)[i - a, j]`` true, or None.  ``bad_rows`` returns the
+    (b - a) x count block of rows a..b-1; blocks stay within the step budget
+    of the cover recursion, or hold one row."""
+    step = max(1, _STEP_ENTRIES // max(count, 1))
+    for a in range(0, count, step):
+        b = min(a + step, count)
+        bad = bad_rows(a, b) & (np.arange(count) > np.arange(a, b)[:, None])
+        if bad.any():
+            i, j = divmod(int(bad.argmax()), count)
+            return a + i, j
+    return None
 
 
 def _scan_bound_tables(leq: np.ndarray, heights: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -442,11 +488,14 @@ def build_lattice(labels, leq_pairs, name="") -> FiniteLattice:
         raise NoBoundingElements("order has no unique bottom/top pair")
     bottom, top = int(bottoms[0]), int(tops[0])
 
-    tables = _order_bounds(leq, covers, heights)
-    if tables is None:
+    # With a unique bottom, the common lower bounds of x and y form a finite,
+    # non-empty set whose join, when all joins exist, is x meet y: the join
+    # table alone decides lattice-ness, and the meet table waits for a reader.
+    join = _least_upper_bounds(leq, covers, heights)
+    if join is None:
         # The scan names the lexicographically first pair without a bound.
-        tables = _scan_bound_tables(leq, heights, labels)
-    lat = FiniteLattice(labels, leq, bottom, top, *tables, name=name)
+        join = _scan_bound_tables(leq, heights, labels)[1]
+    lat = FiniteLattice(labels, leq, bottom, top, join_table=join, name=name)
     lat._set_heights(heights)
     lat._set_covers(covers)
     lat._tables_match_order = True

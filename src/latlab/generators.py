@@ -18,7 +18,7 @@ import string
 
 import numpy as np
 
-from .core import FiniteLattice, _graded_covers, _order_bounds, build_lattice
+from .core import FiniteLattice, _graded_covers, build_lattice
 from .errors import SizeBound
 from .limits import MAX_BOOLEAN_EXPONENT, MAX_VECTORS, element_cap
 
@@ -143,13 +143,12 @@ def subspace_lattice(dimension: int, field_order: int) -> FiniteLattice:
     leq = missing < 0.5
 
     dims = np.array([len(b) for b in bases], dtype=np.int32)
-    covers = _graded_covers(leq, dims)
-    meet, join = _order_bounds(leq, covers, dims)
-    lat = FiniteLattice(
-        labels, leq, 0, size - 1, meet, join, name=f"subspaces_{n}_{q}"
-    )
+    lat = FiniteLattice(labels, leq, 0, size - 1, name=f"subspaces_{n}_{q}")
     lat._set_heights(dims)
-    lat._set_covers(covers)
+    lat._set_covers(_graded_covers(leq, dims))
+    # Derived from the seeded covers and heights, which the premise checks,
+    # and filled here: every consumer but the document writer reads them.
+    lat.join_table, lat.meet_table
     return lat
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ElementId, FiniteLattice
+from .core import ElementId, FiniteLattice, _first_pair
 
 
 class Law(enum.Enum):
@@ -274,16 +274,22 @@ def is_perspective_lattice(
 ) -> LawReport:
     """Every pair in scope shares a complement (is perspective)."""
     if mode is PerspectivityMode.ATOMS_ONLY:
-        pool = list(lat.atoms())
-        pairs = [(x, y) for i, x in enumerate(pool) for y in pool[i + 1 :]]
-    else:
-        h = lat.heights
-        pairs = [
-            (x, y)
-            for x in range(lat.size)
-            for y in range(x + 1, lat.size)
-            if h[x] == h[y]
-        ]
+        atoms = lat.atoms()
+        comp = (
+            (lat.meet_table[atoms, :] == lat.bottom) & (lat.join_table[atoms, :] == lat.top)
+        ).astype(np.float32)
+        # [i, j] = number of common complements of atoms i and j.
+        hit = _first_pair(len(atoms), lambda a, b: comp[a:b] @ comp.T == 0)
+        if hit is None:
+            return LawReport(Law.PERSPECTIVE, True, detail=mode.value)
+        return LawReport(Law.PERSPECTIVE, False, (atoms[hit[0]], atoms[hit[1]]), mode.value)
+    h = lat.heights
+    pairs = [
+        (x, y)
+        for x in range(lat.size)
+        for y in range(x + 1, lat.size)
+        if h[x] == h[y]
+    ]
     comp = (lat.meet_table == lat.bottom) & (lat.join_table == lat.top)
     for x, y in pairs:
         if not (comp[x] & comp[y]).any():

@@ -11,7 +11,7 @@ confirmed without trusting the checker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable
 
 from .core import ElementId, FiniteLattice
@@ -208,6 +208,19 @@ class LawSpec:
 
 def _view_of(lat: FiniteLattice, view: GeometryView | None) -> GeometryView:
     return geometry_view(lat) if view is None else view
+
+
+def law_checker(lat: FiniteLattice, n: int | None) -> Callable[[Law], LawReport]:
+    """``check(law)``: the registry's check of ``law`` on ``lat``, with every
+    law that reads the geometry view handed one view, classified on first
+    need."""
+    view = cache(lambda: geometry_view(lat))
+
+    def check(law: Law) -> LawReport:
+        spec = LAWS[law]
+        return spec.check(lat, n, view()) if spec.reads_view else spec.check(lat, n)
+
+    return check
 
 
 # Entries call the checkers through their module-level names, so whatever

@@ -2,6 +2,7 @@ import pytest
 
 from latlab import (
     boolean_lattice,
+    build_lattice,
     chain,
     diamond_m3,
     pentagon_n5,
@@ -26,6 +27,17 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture(scope="session")
 def fano():
     return subspace_lattice(3, 2)
+
+
+@pytest.fixture(scope="session")
+def broken_plane():
+    # 0 < p,q,r,s; lines L1 = p|q and L2 = r|s; top directly above both
+    # lines.  Graded of height 3, but the disjoint coplanar lines L1, L2
+    # violate P2 and the skew atom pairs violate P1.
+    return build_lattice(
+        ["0", "p", "q", "r", "s", "L1", "L2", "1"],
+        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5), (3, 6), (4, 6), (5, 7), (6, 7)],
+    )
 
 
 @pytest.fixture(scope="session")

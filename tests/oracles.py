@@ -16,7 +16,9 @@ and argsort heights that ``core._order`` replaced.  The write-path section
 freezes the ``argwhere`` cover pairs and the ``json.dumps`` document body
 that ``upper_neighbors`` and ``LatticeDocument.to_json`` replaced.  The last
 section freezes the premise check with its own lub verifier, and
-``saturate_splits`` as a rescan of every constant after each split.
+``saturate_splits`` as a rescan of every constant after each split.  The
+pair-loop section freezes P1, P2 and atoms-only perspectivity as the loops
+over element pairs that the row scans replaced.
 """
 
 import itertools
@@ -732,3 +734,52 @@ def rescan_saturate_splits(structure):
         if target is None:
             return structure
         structure = split_element(structure, target)
+
+
+# ----- pair loops -------------------------------------------------------------
+#
+# Frozen copies of ``check_p1``, ``check_p2`` and atoms-only
+# ``is_perspective_lattice`` as loops over pairs in lexicographic order, each
+# stopping at the first failing pair.
+
+
+def loop_p1(view):
+    """Two distinct points lie on exactly one common line."""
+    from latlab.props import Law, LawReport
+
+    lat = view.lattice
+    line_mask = np.zeros(lat.size, dtype=bool)
+    line_mask[list(view.lines)] = True
+    for p, q in itertools.combinations(view.points, 2):
+        count = int((lat.leq[p] & lat.leq[q] & line_mask).sum())
+        if count != 1:
+            return LawReport(Law.P1, False, (p, q), f"{count} common lines")
+    return LawReport(Law.P1, True)
+
+
+def loop_p2(view):
+    """Coplanar lines (join of height <= 3) meet in at least a point."""
+    from latlab.props import Law, LawReport
+
+    lat = view.lattice
+    for l1, l2 in itertools.combinations(view.lines, 2):
+        if lat.height(lat.join(l1, l2)) > 3:
+            continue
+        mh = lat.height(lat.meet(l1, l2))
+        if mh < 1:
+            return LawReport(Law.P2, False, (l1, l2), f"meet height {mh}")
+    return LawReport(Law.P2, True)
+
+
+def loop_atoms_perspective(lat):
+    """Every two atoms share a complement."""
+    from latlab.props import Law, LawReport, PerspectivityMode
+
+    mode = PerspectivityMode.ATOMS_ONLY
+    pool = list(lat.atoms())
+    comp = (lat.meet_table == lat.bottom) & (lat.join_table == lat.top)
+    for i, x in enumerate(pool):
+        for y in pool[i + 1 :]:
+            if not (comp[x] & comp[y]).any():
+                return LawReport(Law.PERSPECTIVE, False, (x, y), mode.value)
+    return LawReport(Law.PERSPECTIVE, True, detail=mode.value)

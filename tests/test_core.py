@@ -22,7 +22,7 @@ from latlab import (
 from latlab import core
 from latlab.limits import chain_cap, element_cap
 
-from oracles import brute_chains, brute_heights, brute_join, brute_meet, leq_rows
+from oracles import brute_chains, brute_heights, brute_join, brute_meet, leq_rows, scan_bound_tables
 
 
 def powerset_pairs():
@@ -239,6 +239,63 @@ def test_hand_built_lattice_derives_covers_and_heights_in_one_call(monkeypatch):
             assert np.array_equal(hand.heights, lat.heights), lat.name
             assert hand.tables_match_order(), lat.name
             assert len(results) == 1, lat.name
+
+
+def test_build_lattice_derives_the_meet_table_on_first_read(law_corpus):
+    for lat in law_corpus:
+        built = build_lattice(lat.labels, lat.upper_neighbors(), name=lat.name)
+        assert "join_table" in built.__dict__, lat.name
+        assert "meet_table" not in built.__dict__, lat.name
+        meet, join = scan_bound_tables(built.leq, built.heights, built.labels)
+        assert np.array_equal(built.join_table, join), lat.name
+        assert np.array_equal(built.meet_table, meet), lat.name
+        assert built.meet_table is built.meet_table, lat.name
+        assert built.meet_table.dtype == np.int32, lat.name
+        assert not built.meet_table.flags.writeable, lat.name
+
+
+def _count_bound_calls(monkeypatch):
+    calls = []
+    original = core._least_upper_bounds
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(core, "_least_upper_bounds", counted)
+    return calls
+
+
+def test_premise_recomputes_only_the_tables_passed_in(monkeypatch):
+    fano = subspace_lattice(3, 2)
+    assert {"meet_table", "join_table"} <= fano.__dict__.keys()  # filled at generation
+    calls = _count_bound_calls(monkeypatch)
+    assert fano.tables_match_order()
+    assert calls == []
+    # Bitwise tables are passed in, so the premise re-derives both.
+    assert boolean_lattice(3).tables_match_order()
+    assert len(calls) == 2
+
+
+def test_hand_built_lattice_without_tables_derives_them():
+    for lat in (pentagon_n5(), diamond_m3(), boolean_lattice(3)):
+        hand = core.FiniteLattice(lat.labels, lat.leq, lat.bottom, lat.top)
+        assert np.array_equal(hand.meet_table, lat.meet_table), lat.name
+        assert np.array_equal(hand.join_table, lat.join_table), lat.name
+        assert hand.tables_match_order(), lat.name
+    hexagon = ["0", "a", "b", "c", "d", "1"]
+    pairs = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]
+    with pytest.raises(NotALattice) as built:
+        build_lattice(hexagon, pairs)
+    rel = np.eye(6, dtype=bool)
+    rel[tuple(zip(*pairs))] = True
+    leq = core._order(rel, hexagon)[0]
+    for attr in ("meet_table", "join_table"):
+        hand = core.FiniteLattice(hexagon, leq, 0, 5)
+        with pytest.raises(NotALattice) as lazy:
+            getattr(hand, attr)
+        assert (str(lazy.value), lazy.value.witness) == (str(built.value), built.value.witness)
+        assert not core.FiniteLattice(hexagon, leq, 0, 5).tables_match_order()
 
 
 def test_hand_built_lattice_with_a_cycle_raises_build_lattices_error():

@@ -4,7 +4,9 @@ deciders against the frozen squaring closure and full scans in ``oracles``.
 The fast paths must agree with the scans everywhere: identical tables,
 identical NotALattice message and witness, and identical LawReports,
 including on lattices whose tables or order were forged so that the
-deciders' premise fails.
+deciders' premise fails.  The row scans of P1, P2 and atoms-only
+perspectivity must return the frozen pair loops' reports, witness and detail
+included.
 """
 
 import itertools
@@ -19,14 +21,19 @@ from latlab import (
     NoBoundingElements,
     NotALattice,
     NotAPartialOrder,
+    NotGraded,
     SizeBound,
     boolean_lattice,
     build_lattice,
     chain,
     check_lattice_axioms,
+    check_p1,
+    check_p2,
     diamond_m3,
+    geometry_view,
     is_distributive,
     is_modular,
+    is_perspective_lattice,
     pentagon_n5,
     satisfies_height_law,
     subspace_lattice,
@@ -40,6 +47,9 @@ from oracles import (
     argwhere_cover_pairs,
     brute_heights,
     gaussian_binomial,
+    loop_atoms_perspective,
+    loop_p1,
+    loop_p2,
     scan_bound_tables,
     scan_cover_matrix,
     scan_distributive,
@@ -462,3 +472,52 @@ def test_subspace_count_is_bounded_before_enumeration(monkeypatch, capsys, n, q)
         subspace_lattice(n, q)
     assert main(["gen", "subspace", "--n", str(n), "--q", str(q)]) == 2
     assert "SizeBound" in capsys.readouterr().err
+
+
+# ----- row scans against the pair loops ---------------------------------------
+
+
+def _assert_row_scans_match_loops(lat):
+    assert is_perspective_lattice(lat) == loop_atoms_perspective(lat), lat.name
+    try:
+        view = geometry_view(lat)
+    except NotGraded:
+        return
+    assert check_p1(view) == loop_p1(view), lat.name
+    assert check_p2(view) == loop_p2(view), lat.name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(bounded_posets(), dm_completions()), st.data())
+def test_row_scans_match_the_pair_loops(relation, data):
+    labels, pairs = relation
+    try:
+        lat = build_lattice(labels, pairs)
+    except NotALattice:
+        lat = None
+    if lat is None or data.draw(st.booleans()):
+        # Any tables over the bounded order, mostly not symmetric: the scans
+        # must read them as the loops do, entry for entry.
+        n = len(labels)
+        leq = _closed(n, pairs)
+        cells = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+        meet, join = (np.array(data.draw(cells)).reshape(n, n) for _ in "mj")
+        bottom, top = (int(np.flatnonzero(leq.all(axis=k))[0]) for k in (1, 0))
+        lat = FiniteLattice(labels, leq, bottom, top, meet, join)
+    _assert_row_scans_match_loops(lat)
+
+
+@pytest.mark.parametrize("step_entries", [1, core._STEP_ENTRIES])
+def test_row_scans_match_the_pair_loops_on_examples(fano, broken_plane, monkeypatch, step_entries):
+    monkeypatch.setattr(core, "_STEP_ENTRIES", step_entries)
+    lattices = (fano, broken_plane, subspace_lattice(3, 3), boolean_lattice(4),
+                diamond_m3(), pentagon_n5(), chain(4))
+    # The loops read only l1 meet l2 with l1 < l2, so a bottom forged below
+    # the diagonal breaks nothing.
+    lines = geometry_view(fano).lines
+    lattices += (_forged(fano, "meet", lines[-1], lines[0], fano.bottom),)
+    for lat in lattices:
+        _assert_row_scans_match_loops(lat)
+    assert not check_p1(geometry_view(broken_plane)).holds
+    assert not check_p2(geometry_view(broken_plane)).holds
+    assert not is_perspective_lattice(boolean_lattice(4)).holds

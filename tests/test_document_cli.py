@@ -18,7 +18,7 @@ from latlab import (
     parse_document,
 )
 from latlab import Law
-from latlab.cli import _requested_laws, main
+from latlab.cli import _requested_laws, build_parser, main
 from latlab.witness import LAWS
 
 from oracles import json_dumps_document
@@ -258,6 +258,18 @@ def test_argparse_level_errors(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["export", "x.json", "--format", "pdf"]) == 2
+
+
+def test_one_parser_serves_every_call_and_keeps_no_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    fano_path = _gen(tmp_path, "gen", "subspace", "--n", "3", "--q", "2")
+    assert main(["check", fano_path, "--laws", "spanning", "--n", "3"]) == 0
+    capsys.readouterr()
+    assert main(["check", fano_path, "--laws", "spanning"]) == 2
+    assert "requires --n" in capsys.readouterr().err
+    for _ in range(2):
+        assert main(["--help"]) == 0
+        assert main(["frobnicate"]) == 2
 
 
 def test_report_bodies_are_deterministic(tmp_path, capsys):

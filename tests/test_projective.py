@@ -8,7 +8,6 @@ from latlab import (
     NotGraded,
     SizeBound,
     boolean_lattice,
-    build_lattice,
     chain,
     check_p1,
     check_p2,
@@ -22,17 +21,6 @@ from latlab import (
     subspace_lattice,
     verify_bvn_characterization,
 )
-
-
-@pytest.fixture(scope="module")
-def broken_plane():
-    # 0 < p,q,r,s; lines L1 = p|q and L2 = r|s; top directly above both
-    # lines.  Graded of height 3, but the disjoint coplanar lines L1, L2
-    # violate P2 and the skew atom pairs violate P1.
-    return build_lattice(
-        ["0", "p", "q", "r", "s", "L1", "L2", "1"],
-        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5), (3, 6), (4, 6), (5, 7), (6, 7)],
-    )
 
 
 def test_geometry_view_heights(fano):
