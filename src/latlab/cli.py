@@ -68,9 +68,54 @@ def _read_document(path: str) -> LatticeDocument:
     return load_document(path)
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _report_json(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a tree of dicts
+    with string keys, lists, tuples and JSON scalars.
+
+    json's indented encoder runs in Python, so the layout is joined here, as
+    in ``LatticeDocument.to_json``, around one ``%s`` per key, scalar and
+    empty container; then one compact ``json.dumps`` call, which runs in C,
+    escapes them all.  Its item separator is a NUL, which JSON text never
+    holds raw.
+    """
+    if not (isinstance(value, _CONTAINERS) and value):
+        return json.dumps(value)
+    leaves: list = []
+    layout = _layout(value, "", leaves)
+    return layout % tuple(json.dumps(leaves, separators=("\0", ": "))[1:-1].split("\0"))
+
+
+def _layout(value, indent: str, leaves: list) -> str:
+    """The layout of a non-empty container, with its keys and leaves
+    appended to ``leaves`` in the order of their ``%s``."""
+    inner = indent + "  "
+    items = []
+    if isinstance(value, dict):
+        for key, child in sorted(value.items()):
+            leaves.append(key)
+            if isinstance(child, _CONTAINERS) and child:
+                items.append("%s: " + _layout(child, inner, leaves))
+            else:
+                leaves.append(child)
+                items.append("%s: %s")
+        opener, closer = "{", "}"
+    else:
+        for child in value:
+            if isinstance(child, _CONTAINERS) and child:
+                items.append(_layout(child, inner, leaves))
+            else:
+                leaves.append(child)
+                items.append("%s")
+        opener, closer = "[", "]"
+    return f"{opener}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closer}"
+
+
 def _emit_report(body: dict, elapsed_ms: float, out: str | None) -> None:
     payload = {"report": body, "timing_ms": round(elapsed_ms, 3)}
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+    _emit(_report_json(payload) + "\n", out)
 
 
 def _cmd_gen(args) -> int:

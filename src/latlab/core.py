@@ -12,17 +12,19 @@ closure, covers and heights and rejects cycles with a witness; the join
 table then comes by recursion over covers, and non-lattices are rejected
 with a witness.  The meet table comes by the same recursion over the dual
 order on first read.  Generators elsewhere in the package reuse
-:class:`FiniteLattice` directly, seeding closed-form heights and covers; any
-other lattice derives both from ``leq`` with the same pass, on first use.
+:class:`FiniteLattice` directly, seeding closed-form heights and covers, and
+closed-form tables as forms evaluated on first read; any other lattice
+derives heights and covers from ``leq`` with the same pass, on first use.
 The law deciders' premise, :meth:`FiniteLattice.tables_match_order`,
-recomputes the order and every table passed in with the same two algorithms
-and compares.
+recomputes the order and every table passed in or seeded with the same two
+algorithms and compares.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -168,9 +170,11 @@ class FiniteLattice:
         self.leq.setflags(write=False)
         self.bottom = int(bottom)
         self.top = int(top)
-        # Tables passed in are the premise's to check; the others are derived
-        # on first read from the lattice's own covers and heights.
+        # Tables passed in or seeded as forms are the premise's to check; the
+        # others are derived on first read from the lattice's own covers and
+        # heights.
         self._given_tables: list[str] = []
+        self._table_forms: dict[str, Callable[[], np.ndarray]] = {}
         for attr, table in (("meet_table", meet_table), ("join_table", join_table)):
             if table is not None:
                 table = np.ascontiguousarray(table, dtype=np.int32)
@@ -260,16 +264,31 @@ class FiniteLattice:
 
     @functools.cached_property
     def meet_table(self) -> np.ndarray:
-        """Read-only meet table: passed in, or derived on first read by
-        :func:`_least_upper_bounds` over the dual of the lattice's covers and
-        heights.  Raises NotALattice when some pair has no meet."""
-        return self._derived_table(meet=True)
+        """Read-only meet table: passed in, evaluated on first read from a
+        seeded form, or derived on first read by :func:`_least_upper_bounds`
+        over the dual of the lattice's covers and heights.  Raises
+        NotALattice when some pair has no meet."""
+        return self._table("meet_table", meet=True)
 
     @functools.cached_property
     def join_table(self) -> np.ndarray:
-        """Read-only join table: passed in, or derived on first read like
+        """Read-only join table: passed in, seeded or derived like
         ``meet_table``.  Raises NotALattice when some pair has no join."""
-        return self._derived_table(meet=False)
+        return self._table("join_table", meet=False)
+
+    def _set_table_forms(self, meet: Callable[[], np.ndarray], join: Callable[[], np.ndarray]) -> None:
+        """Seed closed-form tables, each evaluated on its first read.  They
+        count as given: the premise re-derives and compares both."""
+        self._table_forms = {"meet_table": meet, "join_table": join}
+        self._given_tables = ["meet_table", "join_table"]
+
+    def _table(self, attr: str, meet: bool) -> np.ndarray:
+        form = self._table_forms.pop(attr, None)
+        if form is None:
+            return self._derived_table(meet)
+        table = np.ascontiguousarray(form(), dtype=np.int32)
+        table.setflags(write=False)
+        return table
 
     def _bounds(self, meet: bool) -> np.ndarray | None:
         """Join table, or the meet table as the joins of the dual order (its
@@ -292,11 +311,11 @@ class FiniteLattice:
         heights are the stored tables, covers and heights.
 
         Recomputed once per object by :func:`_order` and, for each table
-        passed in, :func:`_least_upper_bounds`; a table the object derives
-        is that recursion's output over the covers and heights checked here.
-        :func:`build_lattice` records it when it derives the tables.  The law
-        deciders in :mod:`latlab.props` rest their theorem-backed answers on
-        it.
+        passed in or seeded as a form, :func:`_least_upper_bounds`; a table
+        the object derives is that recursion's output over the covers and
+        heights checked here.  :func:`build_lattice` records it when it
+        derives the tables.  The law deciders in :mod:`latlab.props` rest
+        their theorem-backed answers on it.
         """
         if self._tables_match_order is None:
             self._tables_match_order = self._verify_tables()

@@ -2,13 +2,16 @@
 
 Powerset (boolean) lattices, subspace lattices of prime-field vector spaces,
 and the small named fixtures: the diamond M3, the pentagon N5, and chains.
-Generated lattices come with closed-form heights (subset size, dimension)
-and covers (both lattices are graded, so x is covered by y iff x <= y and
-y is one rank higher).  Boolean tables are bitwise; subspace spans and
+Boolean lattices, subspace lattices and chains come with closed-form
+heights (subset size, dimension, index) and covers (all three are graded,
+so x is covered by y iff x <= y and y is one rank higher).  Boolean and
+chain tables are closed forms too (bitwise and/or, min/max), seeded as
+forms and evaluated on first read, so writing a document never builds
+them; the premise still re-derives and compares both.  Subspace spans and
 containment are array products, and subspace tables come from core's
-recursion over those covers.  The validating path through build_lattice is
-reserved for the tiny fixtures and user input.  Every generator checks its
-size before it builds anything.
+recursion over those covers.  Only M3 and N5 take the validating path
+through build_lattice.  Every generator checks its size before it builds
+anything.
 """
 
 from __future__ import annotations
@@ -40,13 +43,13 @@ def boolean_lattice(n: int) -> FiniteLattice:
         for mask in range(size)
     ]
     idx = np.arange(size, dtype=np.int32)
-    meet = idx[:, None] & idx[None, :]
-    join = idx[:, None] | idx[None, :]
-    leq = meet == idx[:, None]
+    bits = idx.astype(np.uint16)  # n <= MAX_BOOLEAN_EXPONENT = 12 bits
+    leq = (bits[:, None] & ~bits[None, :]) == 0  # x is a subset of y
     heights = sum((idx >> i) & 1 for i in range(n)).astype(np.int32)
-    lat = FiniteLattice(labels, leq, 0, size - 1, meet, join, name=f"B_{n}")
+    lat = FiniteLattice(labels, leq, 0, size - 1, name=f"B_{n}")
     lat._set_heights(heights)
     lat._set_covers(_graded_covers(leq, heights))
+    lat._set_table_forms(lambda: idx[:, None] & idx[None, :], lambda: idx[:, None] | idx[None, :])
     return lat
 
 
@@ -147,7 +150,9 @@ def subspace_lattice(dimension: int, field_order: int) -> FiniteLattice:
     lat._set_heights(dims)
     lat._set_covers(_graded_covers(leq, dims))
     # Derived from the seeded covers and heights, which the premise checks,
-    # and filled here: every consumer but the document writer reads them.
+    # and filled here.  No closed form gives them, and every consumer but the
+    # document writer reads them: a construction search over this lattice
+    # would otherwise pay the recursion inside its first call.
     lat.join_table, lat.meet_table
     return lat
 
@@ -173,6 +178,10 @@ def chain(k: int) -> FiniteLattice:
     cap = element_cap()
     if k > cap:
         raise SizeBound(f"{k} elements exceeds the cap of {cap}")
-    labels = [str(i) for i in range(k)]
-    pairs = [(i, i + 1) for i in range(k - 1)]
-    return build_lattice(labels, pairs, name=f"chain_{k}")
+    idx = np.arange(k, dtype=np.int32)
+    leq = idx[:, None] <= idx[None, :]
+    lat = FiniteLattice([str(i) for i in range(k)], leq, 0, k - 1, name=f"chain_{k}")
+    lat._set_heights(idx)
+    lat._set_covers(_graded_covers(leq, idx))
+    lat._set_table_forms(lambda: np.minimum.outer(idx, idx), lambda: np.maximum.outer(idx, idx))
+    return lat

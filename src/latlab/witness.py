@@ -10,11 +10,13 @@ confirmed without trusting the checker.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 from .core import ElementId, FiniteLattice
+from .errors import NotGraded
 from .projective import (
     GeometryView,
     check_p1,
@@ -213,8 +215,23 @@ def _view_of(lat: FiniteLattice, view: GeometryView | None) -> GeometryView:
 def law_checker(lat: FiniteLattice, n: int | None) -> Callable[[Law], LawReport]:
     """``check(law)``: the registry's check of ``law`` on ``lat``, with every
     law that reads the geometry view handed one view, classified on first
-    need."""
-    view = cache(lambda: geometry_view(lat))
+    need.  An ungraded lattice is classified once too: each law that reads
+    the view raises a copy of the one NotGraded."""
+    classified: list[GeometryView | NotGraded] = []
+
+    def view() -> GeometryView:
+        if not classified:
+            try:
+                classified.append(geometry_view(lat))
+            except NotGraded as exc:
+                # Stored without its traceback, and raised as copies: a stored
+                # exception whose traceback's frames hold this list would form
+                # a cycle that keeps ``lat`` alive until a gc pass.
+                classified.append(exc.with_traceback(None))
+        outcome = classified[0]
+        if isinstance(outcome, NotGraded):
+            raise copy.copy(outcome)
+        return outcome
 
     def check(law: Law) -> LawReport:
         spec = LAWS[law]

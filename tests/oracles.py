@@ -82,6 +82,60 @@ def brute_chains(rows, top, bottom):
     return sorted(found, key=lambda c: (len(c), c))
 
 
+def _brute_complements(lat, rows):
+    """Per element, the set of its complements: meets and joins read off
+    the order by scanning."""
+    n = len(rows)
+    return [
+        {y for y in range(n)
+         if brute_meet(rows, x, y) == lat.bottom and brute_join(rows, x, y) == lat.top}
+        for x in range(n)
+    ]
+
+
+def brute_complemented(lat):
+    """The first element without a complement, or the law holds."""
+    from latlab.props import Law, LawReport
+
+    for x, found in enumerate(_brute_complements(lat, leq_rows(lat))):
+        if not found:
+            return LawReport(Law.COMPLEMENTED, False, (x,))
+    return LawReport(Law.COMPLEMENTED, True)
+
+
+def brute_atomic(lat):
+    """The first element that is not the join of the atoms below it, or the
+    law holds; atoms are the elements of longest-chain height 1."""
+    from latlab.props import Law, LawReport
+
+    rows = leq_rows(lat)
+    heights = brute_heights(rows)
+    atoms = [a for a in range(lat.size) if heights[a] == 1]
+    for x in range(lat.size):
+        out = lat.bottom
+        for a in atoms:
+            if rows[a][x]:
+                out = brute_join(rows, out, a)
+        if out != x:
+            return LawReport(Law.ATOMIC, False, (x,), f"join of atoms below is {lat.labels[out]!r}")
+    return LawReport(Law.ATOMIC, True)
+
+
+def brute_equal_height_perspective(lat):
+    """The first pair x < y of equal longest-chain height without a common
+    complement, or the law holds."""
+    from latlab.props import Law, LawReport, PerspectivityMode
+
+    mode = PerspectivityMode.EQUAL_HEIGHT_PAIRS.value
+    rows = leq_rows(lat)
+    heights = brute_heights(rows)
+    comp = _brute_complements(lat, rows)
+    for x, y in itertools.combinations(range(lat.size), 2):
+        if heights[x] == heights[y] and not comp[x] & comp[y]:
+            return LawReport(Law.PERSPECTIVE, False, (x, y), mode)
+    return LawReport(Law.PERSPECTIVE, True, detail=mode)
+
+
 # ----- counting oracles -----------------------------------------------------
 
 

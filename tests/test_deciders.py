@@ -6,7 +6,9 @@ identical NotALattice message and witness, and identical LawReports,
 including on lattices whose tables or order were forged so that the
 deciders' premise fails.  The row scans of P1, P2 and atoms-only
 perspectivity must return the frozen pair loops' reports, witness and detail
-included.
+included.  Complemented, atomic and equal-height perspective must return
+the reports of brute-force scans of the order, and random lattices must
+survive a write and a load unchanged.
 """
 
 import itertools
@@ -22,6 +24,7 @@ from latlab import (
     NotALattice,
     NotAPartialOrder,
     NotGraded,
+    PerspectivityMode,
     SizeBound,
     boolean_lattice,
     build_lattice,
@@ -30,10 +33,15 @@ from latlab import (
     check_p1,
     check_p2,
     diamond_m3,
+    document_from_lattice,
+    document_to_lattice,
     geometry_view,
+    is_atomic,
+    is_complemented,
     is_distributive,
     is_modular,
     is_perspective_lattice,
+    parse_document,
     pentagon_n5,
     satisfies_height_law,
     subspace_lattice,
@@ -45,6 +53,9 @@ from latlab.limits import element_cap
 
 from oracles import (
     argwhere_cover_pairs,
+    brute_atomic,
+    brute_complemented,
+    brute_equal_height_perspective,
     brute_heights,
     gaussian_binomial,
     loop_atoms_perspective,
@@ -521,3 +532,62 @@ def test_row_scans_match_the_pair_loops_on_examples(fano, broken_plane, monkeypa
     assert not check_p1(geometry_view(broken_plane)).holds
     assert not check_p2(geometry_view(broken_plane)).holds
     assert not is_perspective_lattice(boolean_lattice(4)).holds
+
+
+# ----- complements and atoms against order scans ------------------------------
+
+
+LAW_ORACLES = (
+    (is_complemented, brute_complemented),
+    (is_atomic, brute_atomic),
+    (lambda lat: is_perspective_lattice(lat, PerspectivityMode.EQUAL_HEIGHT_PAIRS),
+     brute_equal_height_perspective),
+)
+
+
+def _lattice_or_none(relation):
+    try:
+        return build_lattice(*relation)
+    except NotALattice:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(bounded_posets(), dm_completions()))
+def test_complement_and_atom_laws_match_order_scans(relation):
+    lat = _lattice_or_none(relation)
+    if lat is None:
+        return
+    for decide, oracle in LAW_ORACLES:
+        report = decide(lat)
+        assert report == oracle(lat), (lat.name, report)
+        if not report.holds:
+            assert witness_violates(lat, report), (lat.name, report)
+
+
+def test_complement_and_atom_laws_match_order_scans_on_examples(fano, broken_plane):
+    lattices = (fano, broken_plane, boolean_lattice(3), diamond_m3(), pentagon_n5(), chain(4))
+    for lat in lattices:
+        for decide, oracle in LAW_ORACLES:
+            assert decide(lat) == oracle(lat), lat.name
+    # Each law fails somewhere here, so the witnesses are compared too.
+    for decide, _ in LAW_ORACLES:
+        assert not all(decide(lat).holds for lat in lattices)
+
+
+# ----- random lattices through documents --------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(bounded_posets(), dm_completions()))
+def test_random_lattices_round_trip_through_documents(relation):
+    lat = _lattice_or_none(relation)
+    if lat is None:
+        return
+    text = document_from_lattice(lat).to_json()
+    again = document_to_lattice(parse_document(text))
+    assert again.labels == lat.labels and again.name == lat.name
+    assert (again.bottom, again.top) == (lat.bottom, lat.top)
+    for attr in ("leq", "covers", "heights", "meet_table", "join_table"):
+        assert np.array_equal(getattr(again, attr), getattr(lat, attr)), attr
+    assert document_from_lattice(again).to_json() == text

@@ -1,5 +1,7 @@
+import gc
 import io
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -9,17 +11,20 @@ from hypothesis import strategies as st
 from latlab import (
     DocumentError,
     LatticeDocument,
+    LatticeError,
     NotAPartialOrder,
+    NotGraded,
     boolean_lattice,
     build_lattice,
     document_from_lattice,
     document_to_lattice,
     lattice_to_dot,
     parse_document,
+    pentagon_n5,
 )
-from latlab import Law
-from latlab.cli import _requested_laws, build_parser, main
-from latlab.witness import LAWS
+from latlab import Law, witness
+from latlab.cli import _report_json, _requested_laws, build_parser, main
+from latlab.witness import LAWS, law_checker
 
 from oracles import json_dumps_document
 
@@ -298,3 +303,94 @@ def test_out_dash_writes_stdout(capsys):
     assert main(["gen", "chain", "--n", "3", "--out", "-"]) == 0
     doc = parse_document(capsys.readouterr().out)
     assert doc.elements == ("0", "1", "2")
+
+
+# ----- one geometry view per check, failures included -------------------------
+
+
+def _count_views(monkeypatch):
+    calls = []
+    original = witness.geometry_view
+
+    def counted(lat):
+        calls.append(lat.name)
+        return original(lat)
+
+    monkeypatch.setattr(witness, "geometry_view", counted)
+    return calls, original
+
+
+def test_one_check_classifies_an_ungraded_lattice_once(tmp_path, monkeypatch, capsys):
+    calls, original = _count_views(monkeypatch)
+    n5 = pentagon_n5()
+    try:
+        original(n5)
+    except NotGraded as exc:
+        expected = (str(exc), exc.witness)
+    check = law_checker(n5, None)
+    for law in (Law.P1, Law.P2, Law.THIRD_POINT, Law.P1):
+        try:
+            check(law)
+        except NotGraded as exc:
+            assert (str(exc), exc.witness) == expected, law
+        else:
+            raise AssertionError(f"{law} read no view")
+    assert calls == ["N5"]
+
+    n5_path = _gen(tmp_path, "gen", "n5")
+    calls.clear()
+    assert main(["check", n5_path, "--laws", "all"]) == 1
+    assert len(calls) == 1
+    laws = json.loads(capsys.readouterr().out)["report"]["laws"]
+    details = {laws[law]["detail"] for law in ("p1", "p2", "thirdpoint")}
+    assert details == {f"check aborted: {expected[0]}"}
+
+
+def test_a_classified_failure_keeps_the_lattice_in_no_cycle():
+    gc.disable()
+    try:
+        lat = pentagon_n5()
+        alive = weakref.ref(lat)
+        check = law_checker(lat, None)
+        for law, spec in LAWS.items():
+            if not spec.needs_n:
+                try:
+                    check(law)
+                except LatticeError:
+                    pass
+        del check, lat
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+# ----- reports in the joined layout -------------------------------------------
+
+
+_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _labels)
+_report_trees = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(_labels, kids, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@given(_report_trees)
+@example({"a": {}, "b": [], "c": [{}], "d": [[], {"e": ()}]})  # empty containers
+def test_report_writer_matches_the_json_encoder_byte_for_byte(tree):
+    assert _report_json(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv", [["check", "FANO", "--laws", "all"],
+                                  ["check", "FANO", "--laws", "spanning", "--n", "3"],
+                                  ["verify", "projective", "--n", "3", "--q", "2"],
+                                  ["verify", "boolean", "--n", "3"]])
+def test_emitted_reports_are_json_dumps_output(argv, tmp_path, capsys):
+    fano_path = _gen(tmp_path, "gen", "subspace", "--n", "3", "--q", "2")
+    assert main([fano_path if a == "FANO" else a for a in argv]) in (0, 1)
+    text = capsys.readouterr().out
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

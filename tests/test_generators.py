@@ -4,8 +4,10 @@ import pytest
 from latlab import (
     SizeBound,
     boolean_lattice,
+    build_lattice,
     chain,
     diamond_m3,
+    document_from_lattice,
     is_atomic,
     is_complemented,
     is_distributive,
@@ -14,7 +16,8 @@ from latlab import (
     pentagon_n5,
     subspace_lattice,
 )
-from latlab import generators
+from latlab import core, generators
+from latlab.cli import main
 from latlab.limits import MAX_VECTORS, element_cap
 
 from oracles import (
@@ -223,3 +226,72 @@ def test_boolean_covers_are_seeded_in_closed_form():
         _assert_seeded_covers(lat)
         assert int(lat.covers.sum()) == n * 2 ** (n - 1)
         _assert_premise_verified(lat)
+
+
+# ----- closed-form tables, evaluated on first read ---------------------------
+
+
+def _closed_form_lattices():
+    chains = [*range(2, 17), 31, 32, 33, 64, 127, 128, 255, 256]
+    return [boolean_lattice(n) for n in range(1, 9)] + [chain(k) for k in chains]
+
+
+def test_closed_form_tables_equal_the_cover_recursion(monkeypatch):
+    calls = []
+    original = core._least_upper_bounds
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(core, "_least_upper_bounds", counted)
+    for lat in _closed_form_lattices():
+        assert "meet_table" not in vars(lat) and "join_table" not in vars(lat), lat.name
+        join = original(lat.leq, lat.covers, lat.heights)
+        meet = original(lat.leq.T, lat.covers.T, lat.heights.max() - lat.heights)
+        for table, expected in ((lat.meet_table, meet), (lat.join_table, join)):
+            assert table.dtype == np.int32 and table.flags.c_contiguous, lat.name
+            assert not table.flags.writeable, lat.name
+            assert np.array_equal(table, expected), lat.name
+        assert lat.meet_table is lat.meet_table, lat.name
+        calls.clear()
+        assert lat.tables_match_order(), lat.name
+        assert len(calls) == 2, lat.name  # both seeded tables re-derived
+
+
+def test_a_forged_form_fails_the_premise():
+    for make in (lambda: boolean_lattice(3), lambda: chain(5)):
+        for attr in ("meet_table", "join_table"):
+            lat = make()
+            forms = dict(lat._table_forms)
+            true = forms[attr]
+
+            def forged(true=true, top=lat.size - 1):
+                table = true().copy()
+                table[0, 1] = top - table[0, 1]
+                return table
+
+            forms[attr] = forged
+            lat._set_table_forms(forms["meet_table"], forms["join_table"])
+            assert not lat.tables_match_order(), (lat.name, attr)
+
+
+def test_writing_b12_reads_neither_table():
+    lat = boolean_lattice(12)
+    text = document_from_lattice(lat).to_json()
+    assert text.startswith('{\n  "elements": [\n    "{}",')
+    assert "meet_table" not in vars(lat) and "join_table" not in vars(lat)
+
+
+@pytest.mark.parametrize("k", [2, 3, 64, 256])
+def test_gen_chain_writes_the_validated_chains_document(k, tmp_path):
+    out = tmp_path / "chain.json"
+    assert main(["gen", "chain", "--n", str(k), "--out", str(out)]) == 0
+    built = build_lattice([str(i) for i in range(k)], [(i, i + 1) for i in range(k - 1)],
+                          name=f"chain_{k}")
+    assert out.read_text(encoding="utf-8") == document_from_lattice(built).to_json()
+    lat = chain(k)
+    # Not built by build_lattice, which derives the join table at once.
+    assert "join_table" not in vars(lat) and lat._tables_match_order is None
+    assert np.array_equal(lat.leq, built.leq) and np.array_equal(lat.covers, built.covers)
+    assert np.array_equal(lat.heights, built.heights)
