@@ -32,6 +32,7 @@ ANDs of those ints.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import itertools
@@ -58,6 +59,7 @@ from .limits import (
     realization_cap,
 )
 from .projective import geometry_view, is_independent, verify_bvn_characterization
+from .props import is_modular
 
 
 class StatementKind(enum.Enum):
@@ -564,34 +566,67 @@ _SUBLATTICES = weakref.WeakKeyDictionary()
 
 
 def _all_boolean_sublattices(lat: FiniteLattice) -> list[BooleanSublattice]:
-    """Grow disjoint block decompositions of the top and close each one.
+    """Grow disjoint block decompositions of the top; keep those whose
+    subset-joins form a boolean sublattice.
 
     A candidate block z is admitted only when it meets the join of the
     blocks so far at the bottom.  This drops nothing: in a boolean
     sublattice the joins of disjoint sets of atoms meet at the bottom, so a
     decomposition containing the blocks and z would be rejected by
     :func:`_close_blocks` anyway.
+
+    Candidates are read off per-element lists of the non-zero elements
+    meeting it at the bottom.  The subset-joins of the blocks are built along
+    the search path, and a decomposition that reaches the top is emitted
+    without a close when it is boolean by theorem:
+
+    * one or two blocks, in any lattice: every block is non-zero, a first
+      block is not the top (it would have reached it alone), and a second
+      block b meets the first block a at the bottom, so b is not the top
+      either; {0, 1} and {0, a, b, 1} are distinct elements closed under
+      both operations.  This reads the tables as lattice operations: tables
+      that break the lattice laws themselves are not re-checked here;
+    * three or more blocks in a modular lattice: blocks with
+      (b_1 join ... join b_{i-1}) meet b_i = 0 for each i are independent,
+      and k independent non-zero elements generate a sublattice isomorphic
+      to 2^k (Birkhoff, *Lattice Theory*, independence in modular lattices;
+      von Neumann, *Continuous Geometry*, Part I).  The premise,
+      ``tables_match_order()`` and modularity, is decided once, at the first
+      such decomposition; without it :func:`_close_blocks` decides.
     """
-    nonzero = [e for e in range(lat.size) if e != lat.bottom]
     max_blocks = max(lat.size.bit_length() - 1, 1)
     meet_t, join_t = lat.meet_table.tolist(), lat.join_table.tolist()
+    bottom, top = lat.bottom, lat.top
+    # disjoint[x]: the non-zero elements that meet x at the bottom, ascending.
+    apart = lat.meet_table == bottom
+    apart[:, bottom] = False
+    disjoint = [np.flatnonzero(row).tolist() for row in apart]
     out: list[BooleanSublattice] = []
+    modular = None  # the premise, decided at the first leaf that needs it
 
-    def grow(blocks: list[int], join_so_far: int, start: int):
-        if join_so_far == lat.top and blocks:
-            sub = _close_blocks(lat.bottom, meet_t, join_t, blocks)
-            if sub is not None:
-                out.append(sub)
-            return
-        if len(blocks) >= max_blocks:
-            return
-        below = meet_t[join_so_far]
-        for i in range(start, len(nonzero)):
-            z = nonzero[i]
-            if below[z] == lat.bottom:
-                grow(blocks + [z], join_t[join_so_far][z], i + 1)
+    def grow(blocks: list[int], joins: list[int], start: int):
+        nonlocal modular
+        cands = disjoint[joins[-1]]
+        deeper = len(blocks) + 1 < max_blocks
+        three_or_more = len(blocks) >= 2
+        for z in cands[bisect.bisect_left(cands, start):]:
+            grown = joins + [join_t[j][z] for j in joins]
+            if grown[-1] != top:
+                if deeper:
+                    grow(blocks + [z], grown, z + 1)
+                continue
+            if three_or_more:
+                if modular is None:
+                    modular = lat.tables_match_order() and is_modular(lat).holds
+                if not modular:
+                    sub = _close_blocks(bottom, meet_t, join_t, blocks + [z])
+                    if sub is not None:
+                        out.append(sub)
+                    continue
+            grown.sort()
+            out.append(BooleanSublattice(tuple(grown), (*blocks, z)))
 
-    grow([], lat.bottom, 0)
+    grow([], [bottom], 0)
     del grow  # it holds itself through its closure: free this call's state now
     out.sort(key=lambda s: (len(s.elements), s.elements))
     return out

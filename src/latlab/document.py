@@ -47,7 +47,8 @@ def _json_list(items: list[str]) -> str:
 
 
 def parse_document(text: str) -> LatticeDocument:
-    """Parse JSON text into a document; malformed input carries line/column."""
+    """Parse JSON text into a document; malformed input carries line/column,
+    and input nested beyond the JSON parser's depth limit is malformed too."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -56,6 +57,8 @@ def parse_document(text: str) -> LatticeDocument:
             line=exc.lineno,
             column=exc.colno,
         ) from exc
+    except RecursionError as exc:
+        raise DocumentError("invalid JSON: nested too deeply to parse") from exc
     if not isinstance(payload, dict):
         raise DocumentError("document must be a JSON object")
     missing = [key for key in ("elements", "order") if key not in payload]

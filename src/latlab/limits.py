@@ -12,12 +12,12 @@ MAX_ELEMENTS = 4096
 MAX_CHAIN_ELEMENTS = 256
 MAX_BOOLEAN_EXPONENT = 12
 MAX_TREE_DEPTH = 6
-# B_7 has 128 elements, the ambient cap.
-MAX_BOOLEAN_PIPELINE_N = 7
+# B_8 has 256 elements, the ambient cap.
+MAX_BOOLEAN_PIPELINE_N = 8
 MAX_VECTORS = 4096
 MAX_REALIZATION_ELEMENTS = 256
 MAX_REALIZATION_CONSTANTS = 64
-MAX_AMBIENT_ELEMENTS = 128
+MAX_AMBIENT_ELEMENTS = 256
 MAX_SUBSTRUCTURE_CONSTANTS = 8
 MAX_INDEPENDENCE_ATOMS = 24
 

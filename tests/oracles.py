@@ -23,7 +23,7 @@ over element pairs that the row scans replaced.
 
 import itertools
 import json
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -136,6 +136,72 @@ def brute_equal_height_perspective(lat):
     return LawReport(Law.PERSPECTIVE, True, detail=mode)
 
 
+def _brute_graded(lat, rows, heights):
+    """Raise NotGraded at the first cover, in row-major order, whose upper
+    end is not one longest-chain height above its lower end; covers are
+    the pairs x < y of the order with nothing strictly between."""
+    from latlab.errors import NotGraded
+
+    n = lat.size
+    for x, y in itertools.product(range(n), repeat=2):
+        if x == y or not rows[x][y]:
+            continue
+        if any(z not in (x, y) and rows[x][z] and rows[z][y] for z in range(n)):
+            continue
+        if heights[y] != heights[x] + 1:
+            raise NotGraded(f"cover {x} -> {y} jumps height", witness=(x, y))
+
+
+def brute_third_point(lat):
+    """The first line (height 2) with fewer than three points (height 1)
+    below it in the order, or the law holds; an ungraded order raises
+    NotGraded at its first jumping cover."""
+    from latlab.props import Law, LawReport
+
+    rows = leq_rows(lat)
+    heights = brute_heights(rows)
+    _brute_graded(lat, rows, heights)
+    points = [p for p in range(lat.size) if heights[p] == 1]
+    for line in range(lat.size):
+        if heights[line] == 2:
+            count = sum(rows[p][line] for p in points)
+            if count < 3:
+                return LawReport(Law.THIRD_POINT, False, (line,), f"{count} points")
+    return LawReport(Law.THIRD_POINT, True)
+
+
+def brute_spanning(lat, n):
+    """Some n points join to the top and no n - 1 do: joins of every point
+    set, in lexicographic order, folded from order-scanned pair joins.  The
+    witness is the first n - 1 points that already span; a lattice that is
+    not atomic raises NotAtomic at its first non-atomic element."""
+    from latlab.errors import NotAtomic
+    from latlab.props import Law, LawReport
+
+    atomic = brute_atomic(lat)
+    if not atomic.holds:
+        raise NotAtomic("lattice is not atomic", witness=atomic.witness)
+    rows = leq_rows(lat)
+    heights = brute_heights(rows)
+    points = [p for p in range(lat.size) if heights[p] == 1]
+
+    def first_spanning(k):
+        for combo in itertools.combinations(points, k):
+            out = lat.bottom
+            for p in combo:
+                out = brute_join(rows, out, p)
+            if out == lat.top:
+                return combo
+        return None
+
+    if first_spanning(n) is None:
+        return LawReport(Law.SPANNING, False, None, f"no {n}-point set spans")
+    smaller = first_spanning(n - 1)
+    if smaller is not None:
+        return LawReport(Law.SPANNING, False, smaller, f"{n - 1} points already span")
+    return LawReport(Law.SPANNING, True)
+
+
 # ----- counting oracles -----------------------------------------------------
 
 
@@ -149,6 +215,63 @@ def gaussian_binomial(n, k, q):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
     return num // den
+
+
+def gl_order(n, q):
+    """|GL(n, q)|: the ordered bases of GF(q)^n."""
+    out = 1
+    for i in range(n):
+        out *= q**n - q**i
+    return out
+
+
+def _partitions(n, largest=None):
+    """Partitions of n as non-increasing tuples of positive parts."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, n if largest is None else largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def count_subspace_boolean_sublattices(n, q):
+    """Boolean sublattices of S(n, q) sharing its bounds.
+
+    Their atoms are the parts of an unordered direct-sum decomposition of
+    GF(q)^n.  GL(n, q) acts transitively on the ordered decompositions with
+    part dimensions (d_i), with stabiliser the product of the GL(d_i, q),
+    and parts of equal dimension permute freely: sum over partitions of n
+    of |GL(n, q)| / (prod |GL(d_i, q)| * prod m_j!), m_j the multiplicity
+    of each part size.
+    """
+    total = 0
+    for parts in _partitions(n):
+        den = 1
+        for d in parts:
+            den *= gl_order(d, q)
+        for d in set(parts):
+            den *= factorial(parts.count(d))
+        total += gl_order(n, q) // den
+    return total
+
+
+def count_subspace_frames(n, q):
+    """Boolean sublattices of S(n, q) with 2^n elements: unordered sets of
+    n independent points, |GL(n, q)| / ((q - 1)^n n!)."""
+    return gl_order(n, q) // ((q - 1) ** n * factorial(n))
+
+
+def bell(n):
+    """Set partitions of an n-set, by the Bell triangle: the atoms of a
+    boolean sublattice of B_n that shares its bounds form one."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
 
 
 def enumerate_subspaces(n, q):

@@ -429,7 +429,7 @@ def test_criterion_9_cli_roundtrip_and_exit_codes(tmp_path, capsys):
         (["verify", "s5", "--n", "3"], 0),
         (["verify", "s7", "--n", "3", "--q", "2"], 0),
         (["verify", "s7", "--n", "3"], 2),
-        (["verify", "boolean", "--n", "8"], 2),
+        (["verify", "boolean", "--n", "9"], 2),
         (["export", str(cube_doc), "--format", "hasse-dot"], 0),
         (["export", str(cube_doc), "--format", "pdf"], 2),
         (["frobnicate"], 2),

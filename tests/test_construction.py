@@ -1,6 +1,7 @@
 import functools
 import gc
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -8,12 +9,14 @@ import sys
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latlab import (
     DepthExhausted,
+    FiniteLattice,
     MissingSplit,
+    NotALattice,
     RealizationMissing,
     SizeBound,
     Statement,
@@ -24,6 +27,7 @@ from latlab import (
     atom_pair_structure,
     boolean_closure,
     boolean_lattice,
+    build_lattice,
     build_tree,
     chain,
     chains_between,
@@ -33,6 +37,7 @@ from latlab import (
     enumerate_boolean_sublattices,
     find_realization,
     initial_structure,
+    is_modular,
     line_probe_structure,
     max_independent_set,
     pentagon_n5,
@@ -51,6 +56,9 @@ from latlab.cli import main
 from latlab.witness import chain_height
 from oracles import (
     all_realizations,
+    bell,
+    count_subspace_boolean_sublattices,
+    count_subspace_frames,
     naive_realization_exists,
     rebuild_extend,
     rescan_saturate_splits,
@@ -59,6 +67,7 @@ from oracles import (
     scan_split_of,
     whole_structure_closures_realizable,
 )
+from test_deciders import bounded_posets, dm_completions
 
 
 def three_leaf_tree():
@@ -362,7 +371,7 @@ def test_sublattices_through_two_fano_atoms(fano):
 
 def test_sublattice_enumeration_cap():
     with pytest.raises(SizeBound):
-        enumerate_boolean_sublattices(boolean_lattice(8))
+        enumerate_boolean_sublattices(boolean_lattice(9))
 
 
 def test_closure_guards():
@@ -473,7 +482,7 @@ def test_boolean_pipeline_bounds(monkeypatch):
         verify_boolean_pipeline(0)
     monkeypatch.setattr(construction, "boolean_lattice", _refuse)
     with pytest.raises(SizeBound):
-        verify_boolean_pipeline(8)
+        verify_boolean_pipeline(9)
 
 
 def test_boolean_pipeline_reaches_the_ambient_cap():
@@ -644,6 +653,122 @@ def test_sublattice_memo_does_not_keep_lattices_alive():
     gc.collect()
     assert ref() is None
     assert len(construction._SUBLATTICES) == before
+
+
+# ----- the independence shortcut and the closed-form counts -------------------
+
+
+@pytest.mark.parametrize("n, q", [(3, 2), (3, 3), (3, 5), (4, 2), (3, 7)])
+def test_subspace_sublattice_counts_match_the_closed_form(n, q):
+    subs = enumerate_boolean_sublattices(subspace_lattice(n, q))
+    assert len(subs) == count_subspace_boolean_sublattices(n, q)
+    assert sum(len(s.blocks) == n for s in subs) == count_subspace_frames(n, q)
+
+
+def test_boolean_sublattice_counts_match_bell_numbers():
+    for n in range(1, 8):
+        subs = enumerate_boolean_sublattices(boolean_lattice(n))
+        assert len(subs) == bell(n), n
+        assert [len(s.elements) for s in subs].count(2**n) == 1
+
+
+def test_count_oracles_match_the_full_scan():
+    assert count_subspace_boolean_sublattices(3, 5) == 1 + 775 + 3875
+    for n, q in [(1, 2), (2, 2), (2, 3), (2, 5), (3, 2)]:
+        subs = scan_boolean_sublattices(subspace_lattice(n, q))
+        assert len(subs) == count_subspace_boolean_sublattices(n, q), (n, q)
+        assert sum(len(s.blocks) == n for s in subs) == count_subspace_frames(n, q)
+    for n in range(1, 5):
+        assert len(scan_boolean_sublattices(boolean_lattice(n))) == bell(n)
+
+
+def _spy_on_closes(monkeypatch):
+    """Record the blocks and outcome of every ``_close_blocks`` call."""
+    calls = []
+    close = construction._close_blocks
+
+    def spy(*args):
+        out = close(*args)
+        calls.append((tuple(args[3]), out))
+        return out
+
+    monkeypatch.setattr(construction, "_close_blocks", spy)
+    return calls
+
+
+def test_premise_is_decided_once_and_only_past_two_blocks(monkeypatch):
+    decided = []
+    modular = construction.is_modular
+    monkeypatch.setattr(construction, "is_modular", lambda lat: decided.append(lat) or modular(lat))
+    closes = _spy_on_closes(monkeypatch)
+    for lat in (boolean_lattice(1), boolean_lattice(2), subspace_lattice(2, 5),
+                diamond_m3(), pentagon_n5(), chain(3)):
+        assert construction._all_boolean_sublattices(lat) == scan_boolean_sublattices(lat)
+    assert decided == [] and closes == []
+    for lat in (boolean_lattice(3), subspace_lattice(3, 3)):
+        construction._all_boolean_sublattices(lat)
+    assert [lat.name for lat in decided] == ["B_3", "subspaces_3_3"]
+    assert closes == []
+
+
+def test_forged_tables_fail_the_premise_and_go_through_the_close(monkeypatch):
+    b3 = boolean_lattice(3)
+    meet = b3.meet_table.copy()
+    meet[3, 5] = meet[5, 3] = b3.bottom  # {1,2} meet {1,3}, forged to the bottom
+    forged = FiniteLattice(b3.labels, b3.leq, b3.bottom, b3.top, meet, b3.join_table)
+    assert not forged.tables_match_order()
+    closes = _spy_on_closes(monkeypatch)
+    subs = enumerate_boolean_sublattices(forged)
+    assert ((1, 2, 4), None) in closes
+    assert (1, 2, 4) in [s.blocks for s in enumerate_boolean_sublattices(b3)]
+    assert (1, 2, 4) not in [s.blocks for s in subs]
+    assert subs == scan_boolean_sublattices(forged)
+
+
+def test_non_modular_decomposition_stays_rejected(monkeypatch):
+    # a < x = a join b, b < d = b join c, and a join c = 1: {0, a, x, c, 1}
+    # is a pentagon, so the admitted blocks a, b, c join to only seven
+    # distinct elements.  The atom e lifts the size to eight, which admits
+    # three blocks.
+    lat = build_lattice(
+        ["0", "a", "b", "c", "x", "d", "e", "1"],
+        [(0, 1), (0, 2), (0, 3), (0, 6), (1, 4), (2, 4), (2, 5), (3, 5), (4, 7), (5, 7),
+         (6, 7)],
+    )
+    assert lat.tables_match_order() and not is_modular(lat).holds
+    closes = _spy_on_closes(monkeypatch)
+    subs = enumerate_boolean_sublattices(lat)
+    assert ((1, 2, 3), None) in closes
+    assert all(len(s.blocks) <= 2 for s in subs)
+    assert subs == scan_boolean_sublattices(lat)
+
+
+@st.composite
+def lattice_products(draw):
+    """A product of two or three small lattices, ordered componentwise:
+    modular from chains and M3, not modular with a pentagon factor.  From
+    eight elements up it has decompositions of three or more blocks."""
+    pool = [chain(2), chain(3), diamond_m3(), pentagon_n5()]
+    factors = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=3))
+    assume(math.prod(f.size for f in factors) <= 50)
+    elements = list(itertools.product(*[range(f.size) for f in factors]))
+    pairs = [
+        (i, j)
+        for i, x in enumerate(elements)
+        for j, y in enumerate(elements)
+        if all(f.le(a, b) for f, a, b in zip(factors, x, y))
+    ]
+    return [",".join(map(str, x)) for x in elements], pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(bounded_posets(), dm_completions(), lattice_products()))
+def test_enumeration_matches_the_full_scan_on_random_lattices(relation):
+    try:
+        lat = build_lattice(*relation)
+    except NotALattice:
+        return
+    assert enumerate_boolean_sublattices(lat) == scan_boolean_sublattices(lat)
 
 
 # ----- incremental engine against the frozen whole-structure forms ----------

@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 
 from latlab import (
     FiniteLattice,
+    LawReport,
     NoBoundingElements,
     NotALattice,
     NotAPartialOrder,
+    NotAtomic,
     NotGraded,
     PerspectivityMode,
     SizeBound,
@@ -32,6 +34,8 @@ from latlab import (
     check_lattice_axioms,
     check_p1,
     check_p2,
+    check_p3_third_point,
+    check_spanning,
     diamond_m3,
     document_from_lattice,
     document_to_lattice,
@@ -57,6 +61,8 @@ from oracles import (
     brute_complemented,
     brute_equal_height_perspective,
     brute_heights,
+    brute_spanning,
+    brute_third_point,
     gaussian_binomial,
     loop_atoms_perspective,
     loop_p1,
@@ -573,6 +579,48 @@ def test_complement_and_atom_laws_match_order_scans_on_examples(fano, broken_pla
     # Each law fails somewhere here, so the witnesses are compared too.
     for decide, _ in LAW_ORACLES:
         assert not all(decide(lat).holds for lat in lattices)
+
+
+# ----- third point and spanning against order scans ---------------------------
+
+
+def _law_outcome(decide, *args):
+    """The report ``decide`` returns, or the type and witness of the
+    NotGraded or NotAtomic it raises."""
+    try:
+        return decide(*args)
+    except (NotGraded, NotAtomic) as exc:
+        return type(exc), exc.witness
+
+
+def _assert_incidence_laws_match(lat, n):
+    third = lambda lat: check_p3_third_point(geometry_view(lat))
+    assert _law_outcome(third, lat) == _law_outcome(brute_third_point, lat), lat.name
+    got = _law_outcome(check_spanning, lat, n)
+    assert got == _law_outcome(brute_spanning, lat, n), (lat.name, n, got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(bounded_posets(), dm_completions()), st.integers(1, 4))
+def test_third_point_and_spanning_match_order_scans(relation, n):
+    lat = _lattice_or_none(relation)
+    if lat is None:
+        return
+    _assert_incidence_laws_match(lat, n)
+
+
+def test_third_point_and_spanning_match_order_scans_on_examples(fano, broken_plane):
+    # Each clause holds on some of these and fails on others, with and
+    # without a witness; M3 and B_3 fail the third point in different ways.
+    cases = [(fano, 3), (fano, 2), (broken_plane, 3), (broken_plane, 2),
+             (boolean_lattice(3), 3), (boolean_lattice(3), 2), (diamond_m3(), 2),
+             (pentagon_n5(), 2), (subspace_lattice(2, 3), 2), (chain(4), 1)]
+    for lat, n in cases:
+        _assert_incidence_laws_match(lat, n)
+    outcomes = [_law_outcome(check_spanning, lat, n) for lat, n in cases]
+    assert any(isinstance(o, LawReport) and o.holds for o in outcomes)
+    assert any(isinstance(o, LawReport) and o.witness for o in outcomes)
+    assert any(isinstance(o, tuple) for o in outcomes)
 
 
 # ----- random lattices through documents --------------------------------------

@@ -1,11 +1,15 @@
 import gc
 import io
 import json
+import os
+import sys
 import weakref
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latlab import (
@@ -212,6 +216,87 @@ def test_check_rejects_malformed_and_missing_input(tmp_path, capsys):
     assert "NotAPartialOrder" in capsys.readouterr().err
 
 
+@st.composite
+def hostile_documents(draw):
+    """Document text that must exit 2, plus the element cap it is read
+    under: JSON cut short, JSON nested deeper than the recursion limit, a
+    repeated label, an order pair naming an unknown label, a value that is
+    not a string where one is required, or a valid chain with more
+    elements than a lowered cap."""
+    labels = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3), min_size=2,
+                           max_size=6, unique=True))
+    doc = {"name": "hostile", "elements": labels,
+           "order": [[a, b] for a, b in zip(labels, labels[1:])]}
+    kind = draw(st.sampled_from(["cut", "deep", "repeated", "unknown", "not a string", "over cap"]))
+    if kind == "cut":
+        text = json.dumps(doc)
+        return text[: draw(st.integers(0, len(text) - 1))], None
+    if kind == "deep":
+        # Deeper than the recursion limit in force, which Hypothesis raises.
+        depth = sys.getrecursionlimit() + draw(st.integers(1, 2000))
+        key = draw(st.sampled_from(["name", "elements", "order", "extra"]))
+        doc[key] = 0
+        return json.dumps(doc).replace("0", "[" * depth + "]" * depth), None
+    if kind == "repeated":
+        doc["elements"].insert(draw(st.integers(0, len(labels))), draw(st.sampled_from(labels)))
+    elif kind == "unknown":
+        stray = draw(st.text("abcxyz", min_size=1, max_size=4).filter(lambda t: t not in labels))
+        pair = [stray, labels[0]] if draw(st.booleans()) else [labels[0], stray]
+        doc["order"].insert(draw(st.integers(0, len(doc["order"]))), pair)
+    elif kind == "not a string":
+        bad = draw(st.one_of(
+            st.integers(), st.none(), st.booleans(), st.floats(allow_nan=False),
+            st.lists(st.integers(), min_size=1, max_size=2),
+            st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+        ))
+        where = draw(st.sampled_from(
+            ["name", "element", "order item", "order entry", "elements", "order"]))
+        if where == "element":
+            doc["elements"][draw(st.integers(0, len(labels) - 1))] = bad
+        elif where == "order item":
+            doc["order"][0][draw(st.integers(0, 1))] = bad
+        elif where == "order entry":
+            doc["order"][0] = bad
+        else:
+            doc[where] = bad
+    else:
+        return json.dumps(doc), draw(st.integers(1, len(labels) - 1))
+    return json.dumps(doc), None
+
+
+def _exit_codes(text, path):
+    """Exit codes of ``check`` and ``export`` on the text as a file, and of
+    ``check`` on it as stdin; an exit 2 must say why on one stderr line."""
+    path.write_text(text, encoding="utf-8")
+    codes = []
+    for argv, stdin in ((["check", str(path)], ""), (["export", str(path), "--format", "json"], ""),
+                        (["check", "-"], text)):
+        err = io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(stdin)), redirect_stdout(io.StringIO()), \
+                redirect_stderr(err):
+            codes.append(main(argv))
+        if codes[-1] == 2:
+            assert err.getvalue().startswith("latlab: ") and err.getvalue().count("\n") == 1, err.getvalue()
+    return codes
+
+
+def test_document_nested_1000_deep_exits_2(tmp_path):
+    text = '{"elements": ' + "[" * 1000 + "]" * 1000 + ', "order": []}'
+    assert _exit_codes(text, tmp_path / "deep.json") == [2, 2, 2]
+
+
+@settings(max_examples=80, deadline=None)
+@given(hostile_documents())
+def test_hostile_documents_exit_2(tmp_path_factory, hostile):
+    text, cap = hostile
+    path = tmp_path_factory.mktemp("hostile") / "doc.json"
+    env = {} if cap is None else {"LATTICE_MAX_ELEMENTS": str(cap)}
+    with mock.patch.dict(os.environ, env):
+        assert _exit_codes(text, path) == [2, 2, 2], text[:200]
+    if cap is not None:  # the same chain under the built-in cap is fine
+        assert 2 not in _exit_codes(text, path)
+
+
 def test_check_unknown_law_token(tmp_path, capsys):
     path = _gen(tmp_path, "gen", "m3")
     assert main(["check", path, "--laws", "bogus"]) == 2
@@ -237,7 +322,7 @@ def test_verify_exit_codes(capsys):
     capsys.readouterr()
     assert main(["verify", "projective", "--n", "3"]) == 2  # missing --q
     assert main(["verify", "projective", "--n", "3", "--q", "4"]) == 2
-    assert main(["verify", "boolean", "--n", "8"]) == 2  # size bound
+    assert main(["verify", "boolean", "--n", "9"]) == 2  # size bound
     assert main(["verify", "boolean"]) == 2  # missing --n
 
 
