@@ -21,6 +21,13 @@ Construction operations grow a structure step by step:
 bound- and statement-preserving assignment of the constants; the search is
 exhaustive and returns the lexicographically least realization.
 
+A :class:`Statement` is a named tuple ``(kind, operands, value)`` whose kind
+is a str enum, so statement sets hash in C.  One evaluator reads statements
+against element images in the ambient's tables; the search, :func:`satisfies`
+and the pipeline's closure re-check all call it.  One generator yields every
+statement among a set of elements under a naming: a closure collects it, and
+the pipelines test membership of the statements they expect.
+
 Growth checks only what is new.  A structure's height index passes from
 parent to child and is updated from the new statements alone; its split
 index is built on first use.
@@ -37,7 +44,8 @@ import enum
 import functools
 import itertools
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,19 +70,19 @@ from .projective import geometry_view, is_independent, verify_bvn_characterizati
 from .props import is_modular
 
 
-class StatementKind(enum.Enum):
+class StatementKind(str, enum.Enum):
     JOIN_EQ = "join"
     MEET_EQ = "meet"
     DISJOINT = "disjoint"
     HEIGHT_IS = "height"
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     """One atomic fact about named constants.
 
     Commutative operand pairs are stored sorted, so equal facts compare equal.
-    ``value`` carries the height; -1 means not applicable.
+    ``value`` carries the height; -1 means not applicable.  A statement is a
+    plain tuple whose kind is a str, so sets of statements hash in C.
     """
 
     kind: StatementKind
@@ -405,16 +413,22 @@ class Realization:
         return {c: self.lattice.labels[e] for c, e in self.mapping.items()}
 
 
-def _holds(st: Statement, lat: FiniteLattice, mapping: dict[str, ElementId]) -> bool:
-    """Does one statement hold with its constants read through the mapping?"""
-    ops = [mapping[o] for o in st.operands]
-    if st.kind is StatementKind.JOIN_EQ:
-        return lat.join(ops[0], ops[1]) == ops[2]
-    if st.kind is StatementKind.MEET_EQ:
-        return lat.meet(ops[0], ops[1]) == ops[2]
-    if st.kind is StatementKind.DISJOINT:
-        return lat.meet(ops[0], ops[1]) == lat.bottom
-    return lat.height(ops[0]) == st.value
+def _all_hold(statements, image, lat: FiniteLattice) -> bool:
+    """Does every statement hold with each constant read as ``image[constant]``
+    in the lattice's meet, join and height tables?"""
+    meet_t, join_t, heights = lat.meet_table, lat.join_table, lat.heights
+    for kind, ops, value in statements:
+        if kind is StatementKind.HEIGHT_IS:
+            ok = heights[image[ops[0]]] == value
+        elif kind is StatementKind.JOIN_EQ:
+            ok = join_t[image[ops[0]], image[ops[1]]] == image[ops[2]]
+        elif kind is StatementKind.MEET_EQ:
+            ok = meet_t[image[ops[0]], image[ops[1]]] == image[ops[2]]
+        else:
+            ok = meet_t[image[ops[0]], image[ops[1]]] == lat.bottom
+        if not ok:
+            return False
+    return True
 
 
 def satisfies(
@@ -433,7 +447,7 @@ def satisfies(
         return False
     if mapping[structure.zero] != lat.bottom or mapping[structure.one] != lat.top:
         return False
-    return all(_holds(st, lat, mapping) for st in structure.statements)
+    return _all_hold(structure.statements, mapping, lat)
 
 
 def find_realization(
@@ -477,52 +491,35 @@ def find_realization(
             return None
         domains.append(dom)
 
-    by_last: list[list[tuple[Statement, list[int]]]] = [[] for _ in consts]
+    # by_last[k]: the statements whose last operand in declaration order is
+    # constant k, checked once constant k has its image.
+    by_last: list[list[Statement]] = [[] for _ in consts]
     for st in structure.statements:
-        ps = [pos[o] for o in st.operands]
-        by_last[max(ps)].append((st, ps))
+        by_last[max(pos[o] for o in st.operands)].append(st)
 
-    meet_t, join_t = lat.meet_table, lat.join_table
-    assign = [-1] * len(consts)
+    image: dict[str, int] = {}
     used: set[int] = set()
-
-    def locally_consistent(k: int) -> bool:
-        for st, ps in by_last[k]:
-            vals = [assign[p] for p in ps]
-            if st.kind is StatementKind.JOIN_EQ:
-                if join_t[vals[0], vals[1]] != vals[2]:
-                    return False
-            elif st.kind is StatementKind.MEET_EQ:
-                if meet_t[vals[0], vals[1]] != vals[2]:
-                    return False
-            elif st.kind is StatementKind.DISJOINT:
-                if meet_t[vals[0], vals[1]] != lat.bottom:
-                    return False
-            elif st.kind is StatementKind.HEIGHT_IS:
-                if heights[vals[0]] != st.value:
-                    return False
-        return True
 
     def search(k: int) -> bool:
         if k == len(consts):
             return True
+        c, checks = consts[k], by_last[k]
         for e in domains[k]:
             if e in used:
                 continue
-            assign[k] = e
-            if locally_consistent(k):
+            image[c] = e
+            if _all_hold(checks, image, lat):
                 used.add(e)
                 if search(k + 1):
                     return True
                 used.discard(e)
-        assign[k] = -1
         return False
 
     found = search(0)
     del search  # it holds itself through its closure: free this call's state now
     if not found:
         return None
-    return Realization(structure, lat, {c: int(assign[pos[c]]) for c in consts})
+    return Realization(structure, lat, {c: int(image[c]) for c in consts})
 
 
 # ----- boolean sublattices, closure ---------------------------------------
@@ -770,18 +767,24 @@ def _closure_over(
             name_of[e] = sym
             fresh.append(sym)
 
-    stmts: set[Statement] = set()
-    for e in elements:
-        stmts.add(Statement.height_is(name_of[e], ambient.height(e)))
-    for x, y in itertools.combinations(elements, 2):
-        stmts.add(Statement.join_eq(name_of[x], name_of[y], name_of[ambient.join(x, y)]))
-        m = ambient.meet(x, y)
-        stmts.add(Statement.meet_eq(name_of[x], name_of[y], name_of[m]))
-        if m == ambient.bottom:
-            stmts.add(Statement.disjoint(name_of[x], name_of[y]))
-
+    stmts = frozenset(_statements_among(elements, name_of, ambient))
     naming = {name_of[e]: e for e in elements}
-    return ClosureResult(frozenset(stmts), tuple(fresh), naming, elements)
+    return ClosureResult(stmts, tuple(fresh), naming, elements)
+
+
+def _statements_among(elements, name_of: dict[ElementId, str], lat: FiniteLattice):
+    """Every statement among the elements, each element named by ``name_of``:
+    its height, and per pair their join, their meet and, when the meet is the
+    bottom, their disjointness."""
+    for e in elements:
+        yield Statement.height_is(name_of[e], lat.height(e))
+    for x, y in itertools.combinations(elements, 2):
+        a, b = name_of[x], name_of[y]
+        yield Statement.join_eq(a, b, name_of[lat.join(x, y)])
+        m = lat.meet(x, y)
+        yield Statement.meet_eq(a, b, name_of[m])
+        if m == lat.bottom:
+            yield Statement.disjoint(a, b)
 
 
 def apply_closure(
@@ -967,7 +970,7 @@ def _all_closures_realizable(structure, lat, realization) -> tuple[bool, str]:
             and len(mapping) == len(base) + len(fresh)
             and len(images) == len(fresh)
             and taken.isdisjoint(images)
-            and all(_holds(st, lat, mapping) for st in closure.statements)
+            and _all_hold(closure.statements, mapping, lat)
         )
         if not ok:
             return False, f"closure over {group} is not realizable"
@@ -979,19 +982,7 @@ def _closure_covers_lattice(lat: FiniteLattice, closure: ClosureResult) -> bool:
         return False
     name_of = {e: s for s, e in closure.naming.items()}
     stmts = closure.statements
-    for x in range(lat.size):
-        if Statement.height_is(name_of[x], lat.height(x)) not in stmts:
-            return False
-        for y in range(x + 1, lat.size):
-            ok = (
-                Statement.join_eq(name_of[x], name_of[y], name_of[lat.join(x, y)])
-                in stmts
-                and Statement.meet_eq(name_of[x], name_of[y], name_of[lat.meet(x, y)])
-                in stmts
-            )
-            if not ok:
-                return False
-    return True
+    return all(st in stmts for st in _statements_among(range(lat.size), name_of, lat))
 
 
 def _tree_stages(
@@ -1020,17 +1011,6 @@ def _tree_stages(
         "detail": f"{len(atoms)} atoms, join height {lat.height(lat.join_all(atoms))}",
     }
     return tree, f
-
-
-def _closure_statement(
-    closure: ClosureResult, kind: StatementKind, a: str, b: str
-) -> str | None:
-    """The result constant of the closure's ``a kind b`` statement, if any."""
-    pair = (min(a, b), max(a, b))
-    for st in closure.statements:
-        if st.kind is kind and st.operands[:2] == pair:
-            return st.operands[2]
-    return None
 
 
 def verify_boolean_pipeline(n: int) -> PipelineReport:
@@ -1159,11 +1139,13 @@ def verify_projective_pipeline(n: int, q: int) -> PipelineReport:
         if closure is None:
             joins_ok, detail = False, f"no boolean extension for atoms {p},{r}"
             break
-        join_name = _closure_statement(closure, StatementKind.JOIN_EQ, "x", "y")
-        expected_h = lat.height(lat.join(p, r))
+        joined = lat.join(p, r)
+        name = {e: c for c, e in closure.naming.items()}.get(joined)
+        expected_h = lat.height(joined)
         if (
-            join_name is None
-            or Statement.height_is(join_name, expected_h) not in closure.statements
+            name is None
+            or Statement.join_eq("x", "y", name) not in closure.statements
+            or Statement.height_is(name, expected_h) not in closure.statements
             or expected_h != 2
         ):
             joins_ok, detail = False, f"join of atoms {p},{r} not recovered at height 2"
@@ -1195,10 +1177,11 @@ def verify_projective_pipeline(n: int, q: int) -> PipelineReport:
             if closure is None:
                 meets_ok, detail = False, f"no boolean extension for lines {l1},{l2}"
                 break
-            meet_name = _closure_statement(closure, StatementKind.MEET_EQ, "l1", "l2")
+            name = {e: c for c, e in closure.naming.items()}.get(lat.meet(l1, l2))
             if (
-                meet_name is None
-                or Statement.height_is(meet_name, 1) not in closure.statements
+                name is None
+                or Statement.meet_eq("l1", "l2", name) not in closure.statements
+                or Statement.height_is(name, 1) not in closure.statements
             ):
                 meets_ok, detail = False, f"meet of lines {l1},{l2} not at height 1"
                 break

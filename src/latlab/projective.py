@@ -138,7 +138,10 @@ def max_independent_set(lat: FiniteLattice) -> tuple[ElementId, ...]:
 
 
 def check_spanning(lat: FiniteLattice, n: int) -> LawReport:
-    """Some n points join to top and no n-1 points do."""
+    """Some n points join to top and no n-1 points do; for n = 0 there is no
+    smaller set to rule out."""
+    if n < 0:
+        raise ValueError(f"spanning needs n >= 0, got n={n}")
     atomic = is_atomic(lat)
     if not atomic.holds:
         raise NotAtomic("lattice is not atomic", witness=atomic.witness)
@@ -155,7 +158,7 @@ def check_spanning(lat: FiniteLattice, n: int) -> LawReport:
     spanning = some_subset_spans(n)
     if spanning is None:
         return LawReport(Law.SPANNING, False, None, f"no {n}-point set spans")
-    smaller = some_subset_spans(n - 1)
+    smaller = some_subset_spans(n - 1) if n > 0 else None
     if smaller is not None:
         return LawReport(
             Law.SPANNING, False, tuple(smaller), f"{n - 1} points already span"

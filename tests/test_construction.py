@@ -1,6 +1,8 @@
 import functools
 import gc
+import hashlib
 import itertools
+import json
 import math
 import os
 import random
@@ -457,10 +459,36 @@ def test_probe_structure_shapes():
     assert cl.height_of("l1") == cl.height_of("l2") == 2
 
 
+# sha256 of json.dumps(report.to_dict(), sort_keys=True): the report bodies
+# are pinned, so a refactor of the construction engine cannot move a stage
+# detail, count or witness unnoticed.
+BOOLEAN_PIPELINE_DIGESTS = {
+    1: "db3fc97b596481a871c0f512e544ea713025590962f826ac2eb3b514224c998c",
+    2: "0af1a2c74e523de8a12e05feb312b18bdb519d9484514763e070374800dd73a7",
+    3: "6ed326d27f1414cd002e756ede8310f13a14279cc57d9a76d1c9d2fe1cf60827",
+    4: "8ead935a57ef73a481f6c0b2a13a3da5be296e0437ac06c5e51b7c643204f3fb",
+    5: "da96a56ed4fa4644eb02f8ca8f3ef45b2b312c82e535131336310b5aa677fbd6",
+    6: "9778e59990762b76cf51e81b90bfca9786555eaf8cc126f5ce6b4bcdb7f686ed",
+    7: "65d29002656a0d7f062dc2bfcf908bbe3306ff39b9dd996b80ce14b5dc3d5fe9",
+}
+PROJECTIVE_PIPELINE_DIGESTS = {
+    (2, 2): "d6e231862acb7cb959b5be26b2189aff9c53b9c6f83447a9869919b0909d19bd",
+    (2, 3): "24ed1b133fcc9e0fb2f79c33c76876f7b4c69b4f45e14b1879c33a39d1e50507",
+    (3, 2): "bdccad7755139ec4352f48a5a2accd443d01e276f9c576d494d34ba70f33f03f",
+    (3, 3): "58aa800ab5d8e96c4000c2efddb16d428472c14e551be0a29958d0b4e945930d",
+}
+
+
+def _report_digest(rep):
+    body = json.dumps(rep.to_dict(), sort_keys=True)
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
 def test_boolean_pipeline_passes_small_ranks():
-    for n in (1, 2, 3):
+    for n in range(1, 7):
         rep = verify_boolean_pipeline(n)
         assert rep.passed, rep.to_dict()
+        assert _report_digest(rep) == BOOLEAN_PIPELINE_DIGESTS[n], n
         assert list(rep.stages) == [
             "tree_realized",
             "independent_atoms",
@@ -489,6 +517,7 @@ def test_boolean_pipeline_reaches_the_ambient_cap():
     rep = verify_boolean_pipeline(7)
     assert len(rep.stages) == 6
     assert all(stage["ok"] for stage in rep.stages.values()), rep.to_dict()
+    assert _report_digest(rep) == BOOLEAN_PIPELINE_DIGESTS[7]
 
 
 @pytest.mark.parametrize(
@@ -527,6 +556,7 @@ def test_hostile_requests_exit_2_before_any_work(monkeypatch, capsys, argv):
 def test_projective_pipeline_passes():
     rep = verify_projective_pipeline(3, 2)
     assert rep.passed, rep.to_dict()
+    assert _report_digest(rep) == PROJECTIVE_PIPELINE_DIGESTS[3, 2]
     assert list(rep.stages) == [
         "characterization",
         "tree_realized",
@@ -536,8 +566,10 @@ def test_projective_pipeline_passes():
         "atom_joins_closed",
         "coplanar_meets_closed",
     ]
-    assert verify_projective_pipeline(2, 2).passed
-    assert verify_projective_pipeline(2, 3).passed
+    for n, q in [(2, 2), (2, 3), (3, 3)]:
+        rep = verify_projective_pipeline(n, q)
+        assert rep.passed, rep.to_dict()
+        assert _report_digest(rep) == PROJECTIVE_PIPELINE_DIGESTS[n, q], (n, q)
 
 
 def test_projective_pipeline_parameter_validation():
@@ -916,6 +948,49 @@ def test_closure_recheck_rejects_forged_closures(monkeypatch):
         assert not got[0], forge.__name__
         assert got == whole_structure_closures_realizable(tree, lat, real)
         monkeypatch.undo()
+
+
+def _repointed(kind, pair, result):
+    """A forge that drops the closure's ``pair kind`` statement, or points it
+    at ``result`` instead; closures without one pass unchanged."""
+
+    def forge(closure):
+        hit = {
+            st for st in closure.statements
+            if st.kind is kind and st.operands[:2] == pair
+        }
+        if not hit:
+            return closure
+        stmts = closure.statements - hit
+        if result is not None:
+            stmts |= {Statement(kind, (*pair, result))}
+        return construction.ClosureResult(
+            stmts, closure.new_constants, closure.naming, closure.elements
+        )
+
+    return forge
+
+
+@pytest.mark.parametrize(
+    "kind, pair, result, stage, detail",
+    [
+        (StatementKind.JOIN_EQ, ("x", "y"), None,
+         "atom_joins_closed", "join of atoms 1,2 not recovered at height 2"),
+        (StatementKind.JOIN_EQ, ("x", "y"), "1",
+         "atom_joins_closed", "join of atoms 1,2 not recovered at height 2"),
+        (StatementKind.MEET_EQ, ("l1", "l2"), None,
+         "coplanar_meets_closed", "meet of lines 8,9 not at height 1"),
+        (StatementKind.MEET_EQ, ("l1", "l2"), "0",
+         "coplanar_meets_closed", "meet of lines 8,9 not at height 1"),
+    ],
+)
+def test_projective_closure_stages_reject_forged_closures(
+    monkeypatch, kind, pair, result, stage, detail
+):
+    _forging(monkeypatch, _repointed(kind, pair, result))
+    rep = verify_projective_pipeline(3, 2)
+    failing = {k: v["detail"] for k, v in rep.stages.items() if not v["ok"]}
+    assert failing == {stage: detail}
 
 
 _INDEX_LATTICES = {

@@ -196,6 +196,23 @@ def test_check_sized_laws(tmp_path, capsys):
     assert payload["report"]["all_hold"] is True
 
 
+def test_spanning_at_n_0_and_below(tmp_path, capsys):
+    # No point is needed to span the one-element lattice, and there is no
+    # smaller set to rule out; a negative n is a usage error.
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"elements": ["0"], "order": []}))
+    assert main(["check", str(one), "--laws", "spanning", "--n", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["report"]["laws"]["spanning"]["holds"] is True
+    fano_path = _gen(tmp_path, "gen", "subspace", "--n", "3", "--q", "2")
+    capsys.readouterr()
+    for path in (str(one), fano_path):
+        assert main(["check", path, "--laws", "spanning", "--n", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "spanning" in captured.err and "n=-1" in captured.err
+
+
 def test_check_reads_stdin(tmp_path, capsys, monkeypatch):
     doc = document_from_lattice(boolean_lattice(2))
     monkeypatch.setattr("sys.stdin", io.StringIO(doc.to_json()))
