@@ -44,6 +44,7 @@ import enum
 import functools
 import itertools
 import weakref
+from collections.abc import Generator, Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -903,6 +904,10 @@ class PipelineReport:
         }
 
 
+# A stage's name, whether it held, and its detail.
+Stage = tuple[str, bool, str]
+
+
 def _split_witness_exists(lat: FiniteLattice, e: ElementId, hb: int, hc: int) -> bool:
     hs = lat.heights
     for x in np.flatnonzero(hs == hb):
@@ -985,32 +990,46 @@ def _closure_covers_lattice(lat: FiniteLattice, closure: ClosureResult) -> bool:
     return all(st in stmts for st in _statements_among(range(lat.size), name_of, lat))
 
 
-def _tree_stages(
-    n: int, lat: FiniteLattice, stages: dict[str, dict]
-) -> tuple[PartialStructure, Realization] | None:
+def _report(name: str, params: dict, stages: Iterable[Stage]) -> PipelineReport:
+    """Run a pipeline's stages in order and collect their outcomes."""
+    return PipelineReport(name, params, {s: {"ok": ok, "detail": d} for s, ok, d in stages})
+
+
+def _tree_stages(n: int, lat: FiniteLattice) -> Generator[Stage, None, Realization | None]:
     """Stages shared by both pipelines: realize the saturated split tree of
     depth bound n in the target, then derive n independent atoms from it.
-    Returns the tree and its realization, or None when there is none."""
+    Returns the tree's realization, or None when there is none."""
     tree = saturate_splits(initial_structure(n))
     f = find_realization(tree, lat)
-    stages["tree_realized"] = {
-        "ok": f is not None,
-        "detail": f"{len(tree.constants)} constants into {lat.name}",
-    }
+    yield "tree_realized", f is not None, f"{len(tree.constants)} constants into {lat.name}"
     if f is None:
         return None
 
     atoms = derive_independent_atoms(tree, lat, f)
-    atoms_ok = (
-        len(atoms) == n
-        and lat.join_all(atoms) == lat.top
-        and is_independent(lat, atoms)
-    )
-    stages["independent_atoms"] = {
-        "ok": atoms_ok,
-        "detail": f"{len(atoms)} atoms, join height {lat.height(lat.join_all(atoms))}",
-    }
-    return tree, f
+    top = lat.join_all(atoms)
+    ok = len(atoms) == n and top == lat.top and is_independent(lat, atoms)
+    yield "independent_atoms", ok, f"{len(atoms)} atoms, join height {lat.height(top)}"
+    return f
+
+
+def _boolean_stages(n: int, lat: FiniteLattice) -> Iterator[Stage]:
+    f = yield from _tree_stages(n, lat)
+    if f is None:
+        return
+    tree = f.structure
+    closure = boolean_closure(tree, tree.leaves(), lat, realization=f)
+    if closure is None or not _closure_covers_lattice(lat, closure):
+        yield "closure_complete", False, "closure incomplete"
+        return
+    yield "closure_complete", True, "closure names every element with all joins, meets, heights"
+
+    extended = apply_closure(tree, closure)
+    mapping = {**f.mapping, **{c: closure.naming[c] for c in closure.new_constants}}
+    ok = satisfies(extended, lat, mapping)
+    yield "extension_realized", ok, f"{len(extended.constants)} constants after closure"
+    yield "splits_realizable", *_all_splits_realizable(extended, lat, mapping)
+    full = Realization(extended, lat, mapping)
+    yield "closures_realizable", *_all_closures_realizable(extended, lat, full)
 
 
 def verify_boolean_pipeline(n: int) -> PipelineReport:
@@ -1024,39 +1043,90 @@ def verify_boolean_pipeline(n: int) -> PipelineReport:
         raise SizeBound(
             f"the end-to-end boolean pipeline is capped at n={MAX_BOOLEAN_PIPELINE_N}"
         )
-    stages: dict[str, dict] = {}
-    report = PipelineReport("boolean", {"n": n}, stages)
-    lat = boolean_lattice(n)
-    realized = _tree_stages(n, lat, stages)
-    if realized is None:
-        return report
+    return _report("boolean", {"n": n}, _boolean_stages(n, boolean_lattice(n)))
 
-    tree, f = realized
-    closure = boolean_closure(tree, tree.leaves(), lat, realization=f)
-    closure_ok = closure is not None and _closure_covers_lattice(lat, closure)
-    stages["closure_complete"] = {
-        "ok": closure_ok,
-        "detail": "closure names every element with all joins, meets, heights"
-        if closure_ok
-        else "closure incomplete",
-    }
-    if not closure_ok:
-        return report
 
-    extended = apply_closure(tree, closure)
-    mapping = dict(f.mapping)
-    mapping.update({c: closure.naming[c] for c in closure.new_constants})
-    stages["extension_realized"] = {
-        "ok": satisfies(extended, lat, mapping),
-        "detail": f"{len(extended.constants)} constants after closure",
-    }
-    full = Realization(extended, lat, mapping)
+def _atom_joins_closed(n: int, lat: FiniteLattice, view) -> tuple[bool, str]:
+    """Does every pair of points close to a boolean extension that names
+    their join at height 2?"""
+    pair = atom_pair_structure(n)
+    pairs = list(itertools.combinations(view.points, 2))
+    for p, r in pairs:
+        real = find_realization(pair, lat, pin={"x": p, "y": r})
+        if real is None:
+            return False, f"atom pair {p},{r} not realizable"
+        closure = boolean_closure(pair, ("x", "y"), lat, realization=real)
+        if closure is None:
+            return False, f"no boolean extension for atoms {p},{r}"
+        joined = lat.join(p, r)
+        name = {e: c for c, e in closure.naming.items()}.get(joined)
+        if name is None or lat.height(joined) != 2 or not {
+            Statement.join_eq("x", "y", name), Statement.height_is(name, 2)
+        } <= closure.statements:
+            return False, f"join of atoms {p},{r} not recovered at height 2"
+    return True, f"{len(pairs)} atom pairs closed with height-2 joins"
 
-    ok, detail = _all_splits_realizable(extended, lat, mapping)
-    stages["splits_realizable"] = {"ok": ok, "detail": detail}
-    ok, detail = _all_closures_realizable(extended, lat, full)
-    stages["closures_realizable"] = {"ok": ok, "detail": detail}
-    return report
+
+def _coplanar_meets_closed(n: int, lat: FiniteLattice, view) -> tuple[bool, str]:
+    """Does every pair of coplanar lines close to a boolean extension that
+    names their meet at height 1?"""
+    if n < 3:
+        return True, f"no planes at n={n}"
+    cop = coplanar_lines_structure(n)
+    plane_const = cop.one if n == 3 else "pl"
+    checked = 0
+    for l1, l2 in itertools.combinations(view.lines, 2):
+        plane = lat.join(l1, l2)
+        if lat.height(plane) != 3:
+            continue
+        real = find_realization(cop, lat, pin={"l1": l1, "l2": l2, plane_const: plane})
+        if real is None:
+            return False, f"lines {l1},{l2} not realizable"
+        closure = boolean_closure(cop, ("l1", "l2", plane_const), lat, realization=real)
+        if closure is None:
+            return False, f"no boolean extension for lines {l1},{l2}"
+        name = {e: c for c, e in closure.naming.items()}.get(lat.meet(l1, l2))
+        if name is None or not {
+            Statement.meet_eq("l1", "l2", name), Statement.height_is(name, 1)
+        } <= closure.statements:
+            return False, f"meet of lines {l1},{l2} not at height 1"
+        checked += 1
+    return True, f"{checked} coplanar pairs closed with height-1 meets"
+
+
+def _projective_stages(n: int, lat: FiniteLattice) -> Iterator[Stage]:
+    character = verify_bvn_characterization(lat, n)
+    yield "characterization", character.passed, (
+        "all clauses hold" if character.passed else f"failing: {', '.join(character.failing())}"
+    )
+    if (yield from _tree_stages(n, lat)) is None:
+        return
+
+    view = geometry_view(lat)
+    if n < 2:
+        yield "third_point_per_line", True, "no lines at n=1"
+        yield "third_point_absent_boolean", True, "no lines at n=1"
+    else:
+        probe = line_probe_structure(n)
+        line_const = probe.one if n == 2 else "l"
+
+        def third_point(target, line):
+            return find_realization(probe, target, pin={line_const: line}) is not None
+
+        missing = [lat.labels[l] for l in view.lines if not third_point(lat, l)]
+        yield "third_point_per_line", not missing, (
+            f"no third point on {missing}" if missing else f"{len(view.lines)} lines probed"
+        )
+        boolean = boolean_lattice(n)
+        blines = geometry_view(boolean).lines
+        found = [boolean.labels[l] for l in blines if third_point(boolean, l)]
+        yield "third_point_absent_boolean", not found, (
+            f"boolean line {found} admits one"
+            if found
+            else f"probe unrealizable on all {len(blines)} boolean lines"
+        )
+    yield "atom_joins_closed", *_atom_joins_closed(n, lat, view)
+    yield "coplanar_meets_closed", *_coplanar_meets_closed(n, lat, view)
 
 
 def verify_projective_pipeline(n: int, q: int) -> PipelineReport:
@@ -1075,124 +1145,5 @@ def verify_projective_pipeline(n: int, q: int) -> PipelineReport:
         raise SizeBound(
             f"{size} subspaces exceeds the sublattice enumeration cap of {cap}"
         )
-    stages: dict[str, dict] = {}
-    report = PipelineReport("projective", {"n": n, "q": q}, stages)
     lat = subspace_lattice(n, q)
-
-    character = verify_bvn_characterization(lat, n)
-    stages["characterization"] = {
-        "ok": character.passed,
-        "detail": "all clauses hold"
-        if character.passed
-        else f"failing: {', '.join(character.failing())}",
-    }
-
-    realized = _tree_stages(n, lat, stages)
-    if realized is None:
-        return report
-
-    view = geometry_view(lat)
-    if n >= 2:
-        probe = line_probe_structure(n)
-        line_const = probe.one if n == 2 else "l"
-        missing = [
-            line
-            for line in view.lines
-            if find_realization(probe, lat, pin={line_const: line}) is None
-        ]
-        stages["third_point_per_line"] = {
-            "ok": not missing,
-            "detail": f"{len(view.lines)} lines probed"
-            if not missing
-            else f"no third point on {[lat.labels[l] for l in missing]}",
-        }
-        boolean = boolean_lattice(n)
-        bview = geometry_view(boolean)
-        realized = [
-            line
-            for line in bview.lines
-            if find_realization(probe, boolean, pin={line_const: line}) is not None
-        ]
-        stages["third_point_absent_boolean"] = {
-            "ok": not realized,
-            "detail": f"probe unrealizable on all {len(bview.lines)} boolean lines"
-            if not realized
-            else f"boolean line {[boolean.labels[l] for l in realized]} admits one",
-        }
-    else:
-        stages["third_point_per_line"] = {"ok": True, "detail": "no lines at n=1"}
-        stages["third_point_absent_boolean"] = {
-            "ok": True,
-            "detail": "no lines at n=1",
-        }
-
-    pair = atom_pair_structure(n)
-    joins_ok = True
-    pairs_checked = 0
-    detail = ""
-    for p, r in itertools.combinations(view.points, 2):
-        real = find_realization(pair, lat, pin={"x": p, "y": r})
-        if real is None:
-            joins_ok, detail = False, f"atom pair {p},{r} not realizable"
-            break
-        closure = boolean_closure(pair, ("x", "y"), lat, realization=real)
-        if closure is None:
-            joins_ok, detail = False, f"no boolean extension for atoms {p},{r}"
-            break
-        joined = lat.join(p, r)
-        name = {e: c for c, e in closure.naming.items()}.get(joined)
-        expected_h = lat.height(joined)
-        if (
-            name is None
-            or Statement.join_eq("x", "y", name) not in closure.statements
-            or Statement.height_is(name, expected_h) not in closure.statements
-            or expected_h != 2
-        ):
-            joins_ok, detail = False, f"join of atoms {p},{r} not recovered at height 2"
-            break
-        pairs_checked += 1
-    stages["atom_joins_closed"] = {
-        "ok": joins_ok,
-        "detail": detail or f"{pairs_checked} atom pairs closed with height-2 joins",
-    }
-
-    if n >= 3:
-        cop = coplanar_lines_structure(n)
-        plane_const = cop.one if n == 3 else "pl"
-        meets_ok = True
-        checked = 0
-        detail = ""
-        for l1, l2 in itertools.combinations(view.lines, 2):
-            plane = lat.join(l1, l2)
-            if lat.height(plane) != 3:
-                continue
-            pins = {"l1": l1, "l2": l2, plane_const: plane}
-            real = find_realization(cop, lat, pin=pins)
-            if real is None:
-                meets_ok, detail = False, f"lines {l1},{l2} not realizable"
-                break
-            closure = boolean_closure(
-                cop, ("l1", "l2", plane_const), lat, realization=real
-            )
-            if closure is None:
-                meets_ok, detail = False, f"no boolean extension for lines {l1},{l2}"
-                break
-            name = {e: c for c, e in closure.naming.items()}.get(lat.meet(l1, l2))
-            if (
-                name is None
-                or Statement.meet_eq("l1", "l2", name) not in closure.statements
-                or Statement.height_is(name, 1) not in closure.statements
-            ):
-                meets_ok, detail = False, f"meet of lines {l1},{l2} not at height 1"
-                break
-            checked += 1
-        stages["coplanar_meets_closed"] = {
-            "ok": meets_ok,
-            "detail": detail or f"{checked} coplanar pairs closed with height-1 meets",
-        }
-    else:
-        stages["coplanar_meets_closed"] = {
-            "ok": True,
-            "detail": f"no planes at n={n}",
-        }
-    return report
+    return _report("projective", {"n": n, "q": q}, _projective_stages(n, lat))

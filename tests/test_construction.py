@@ -993,6 +993,66 @@ def test_projective_closure_stages_reject_forged_closures(
     assert failing == {stage: detail}
 
 
+def _stage_outcomes(rep):
+    return {k: (v["ok"], v["detail"]) for k, v in rep.stages.items()}
+
+
+def test_pipelines_stop_when_the_tree_has_no_realization(monkeypatch, capsys):
+    monkeypatch.setattr(construction, "find_realization", lambda *a, **k: None)
+    assert _stage_outcomes(verify_boolean_pipeline(3)) == {
+        "tree_realized": (False, "6 constants into B_3"),
+    }
+    assert _stage_outcomes(verify_projective_pipeline(3, 2)) == {
+        "characterization": (True, "all clauses hold"),
+        "tree_realized": (False, "6 constants into subspaces_3_2"),
+    }
+    assert main(["verify", "boolean", "--n", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["report"]["passed"] is False
+
+
+def test_boolean_pipeline_stops_after_an_incomplete_closure(monkeypatch):
+    monkeypatch.setattr(construction, "_closure_covers_lattice", lambda *a: False)
+    assert _stage_outcomes(verify_boolean_pipeline(3)) == {
+        "tree_realized": (True, "6 constants into B_3"),
+        "independent_atoms": (True, "3 atoms, join height 3"),
+        "closure_complete": (False, "closure incomplete"),
+    }
+
+
+def test_projective_probe_stages_fail_without_boolean_extensions(monkeypatch):
+    monkeypatch.setattr(construction, "boolean_closure", lambda *a, **k: None)
+    rep = verify_projective_pipeline(3, 2)
+    failing = {k: v["detail"] for k, v in rep.stages.items() if not v["ok"]}
+    assert failing == {
+        "atom_joins_closed": "no boolean extension for atoms 1,2",
+        "coplanar_meets_closed": "no boolean extension for lines 8,9",
+    }
+
+
+@pytest.mark.parametrize(
+    "pinned, stage, detail",
+    [
+        ("l", "third_point_per_line",
+         "no third point on ['<010,001>', '<100,001>', '<100,010>', "
+         "'<100,011>', '<101,010>', '<101,011>', '<110,001>']"),
+        ("x", "atom_joins_closed", "atom pair 1,2 not realizable"),
+        ("l1", "coplanar_meets_closed", "lines 8,9 not realizable"),
+    ],
+)
+def test_projective_probe_stages_fail_on_unrealizable_pins(
+    monkeypatch, pinned, stage, detail
+):
+    honest = construction.find_realization
+
+    def refusing(structure, lat, pin=None):
+        return None if pin and pinned in pin else honest(structure, lat, pin=pin)
+
+    monkeypatch.setattr(construction, "find_realization", refusing)
+    rep = verify_projective_pipeline(3, 2)
+    failing = {k: v["detail"] for k, v in rep.stages.items() if not v["ok"]}
+    assert failing == {stage: detail}
+
+
 _INDEX_LATTICES = {
     "B_4": functools.partial(boolean_lattice, 4),
     "B_5": functools.partial(boolean_lattice, 5),

@@ -341,6 +341,7 @@ def test_verify_exit_codes(capsys):
     assert main(["verify", "projective", "--n", "3", "--q", "4"]) == 2
     assert main(["verify", "boolean", "--n", "9"]) == 2  # size bound
     assert main(["verify", "boolean"]) == 2  # missing --n
+    assert main(["verify", "quantum", "--n", "3"]) == 2  # not a pipeline
 
 
 def test_verify_projective_rank_4_fits_the_ambient_cap(capsys):
