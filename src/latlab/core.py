@@ -9,9 +9,15 @@ Instances are immutable after construction: all arrays are marked read-only.
 :func:`build_lattice` is the validating constructor: one topological pass
 over the given relation (:func:`_order`) yields its reflexive-transitive
 closure, covers and heights and rejects cycles with a witness; the join
-table then comes by recursion over covers, and non-lattices are rejected
-with a witness.  The meet table comes by the same recursion over the dual
-order on first read.  Generators elsewhere in the package reuse
+table then comes from :func:`_least_upper_bounds`, and non-lattices are
+rejected with a witness.  The meet table comes from the same function over
+the dual order on first read.  For n <= 64 elements it holds each up-set
+in one uint64, bits numbered along a linear extension: the least upper
+bound of x and y, when it exists, is the lowest set bit z of
+up(x) & up(y), and it exists iff up(z) == up(x) & up(y) (the bit-vector
+encoding of Ait-Kaci, Boyer, Lincoln & Nasr, "Efficient implementation of
+lattice operations", TOPLAS 1989).  Larger orders take the recursion over
+upper covers.  Generators elsewhere in the package reuse
 :class:`FiniteLattice` directly, seeding closed-form heights and covers, and
 closed-form tables as forms evaluated on first read; any other lattice
 derives heights and covers from ``leq`` with the same pass, on first use.
@@ -59,7 +65,10 @@ def _order(rel: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """
     n = rel.shape[0]
     strict = rel & ~np.eye(n, dtype=bool)
-    succ = [np.flatnonzero(row).tolist() for row in strict]
+    rows, cols = np.nonzero(strict)
+    cuts = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    cols = cols.tolist()
+    succ = [cols[cuts[x] : cuts[x + 1]] for x in range(n)]
     indeg = strict.sum(axis=0).tolist()
 
     heights = [0] * n
@@ -292,8 +301,8 @@ class FiniteLattice:
 
     def _bounds(self, meet: bool) -> np.ndarray | None:
         """Join table, or the meet table as the joins of the dual order (its
-        covers transposed, its rank the height from the top), by recursion
-        over the covers and heights; None when some pair lacks the bound."""
+        covers transposed, its rank the height from the top), by
+        :func:`_least_upper_bounds`; None when some pair lacks the bound."""
         if meet:
             return _least_upper_bounds(self.leq.T, self.covers.T, self.heights.max() - self.heights)
         return _least_upper_bounds(self.leq, self.covers, self.heights)
@@ -312,7 +321,7 @@ class FiniteLattice:
 
         Recomputed once per object by :func:`_order` and, for each table
         passed in or seeded as a form, :func:`_least_upper_bounds`; a table
-        the object derives is that recursion's output over the covers and
+        the object derives is that function's output over the covers and
         heights checked here.  :func:`build_lattice` records it when it
         derives the tables.  The law deciders in :mod:`latlab.props` rest
         their theorem-backed answers on it.
@@ -367,17 +376,58 @@ class FiniteLattice:
 # holds at least one element, so scratch stays within max(budget, n^2).
 _STEP_ENTRIES = 1 << 22
 
+# Orders of at most this many elements hold each up-set in one uint64.
+_WORD_BITS = 64
+
 
 def _least_upper_bounds(leq: np.ndarray, covers: np.ndarray, rank: np.ndarray) -> np.ndarray | None:
-    """Join table of a finite partial order by recursion over upper covers,
-    or None when some pair has no least upper bound.
+    """Join table of a finite partial order, or None when some pair has no
+    least upper bound.
 
-    ``rank`` must strictly increase along the order.  If y <= x then
-    x join y = x; otherwise every upper bound of {x, y} lies above some
-    cover c of x, so x join y is the least of {c join y : c covers x} and
-    exists exactly when that set has a least element (the join-over-covers
-    recursion of Ait-Kaci, Boyer, Lincoln & Nasr, "Efficient implementation
-    of lattice operations", TOPLAS 1989).
+    ``rank`` must strictly increase along the order.  Orders of at most 64
+    elements take one machine word per up-set (:func:`_word_lubs`); larger
+    ones the recursion over upper covers (:func:`_cover_lubs`).  Both give
+    the same table, and both give None on the same orders.
+    """
+    if leq.shape[0] <= _WORD_BITS:
+        return _word_lubs(leq, rank)
+    return _cover_lubs(leq, covers, rank)
+
+
+def _word_lubs(leq: np.ndarray, rank: np.ndarray) -> np.ndarray | None:
+    """:func:`_least_upper_bounds` for n <= 64 from one uint64 per up-set.
+
+    Elements are numbered by a stable argsort of ``rank``, a linear
+    extension, and bit k of ``up[x]`` says x <= element number k (the
+    bit-vector encoding of Ait-Kaci, Boyer, Lincoln & Nasr, TOPLAS 1989).
+    Every common upper bound of x and y lies above their least upper bound,
+    so is numbered after it: the lub, when it exists, is the lowest set bit
+    z of ``up[x] & up[y]``, and it exists iff ``up[z] == up[x] & up[y]``.
+    """
+    n = leq.shape[0]
+    perm = np.argsort(rank, kind="stable").astype(np.int32)
+    bits = np.zeros((n, _WORD_BITS), dtype=bool)
+    bits[:, :n] = leq[:, perm]
+    up = np.packbits(bits, bitorder="little").view("<u8")
+    common = up[:, None] & up[None, :]
+    # Powers of two up to 2^63 are exact in float64, so frexp's exponent is
+    # the bit's number plus one; an empty intersection gives number -1,
+    # which fails the check below, since every up-set holds its own bit.
+    number = np.frexp((common & (~common + np.uint64(1))).astype(np.float64))[1] - 1
+    lub = perm.take(number)
+    if not np.array_equal(up.take(lub), common):
+        return None
+    return lub
+
+
+def _cover_lubs(leq: np.ndarray, covers: np.ndarray, rank: np.ndarray) -> np.ndarray | None:
+    """:func:`_least_upper_bounds` by recursion over upper covers.
+
+    If y <= x then x join y = x; otherwise every upper bound of {x, y} lies
+    above some cover c of x, so x join y is the least of {c join y : c
+    covers x} and exists exactly when that set has a least element (the
+    join-over-covers recursion of Ait-Kaci, Boyer, Lincoln & Nasr,
+    "Efficient implementation of lattice operations", TOPLAS 1989).
 
     Elements are renumbered by ascending rank, so the least member of a set,
     when there is one, is its smallest number, and by cover count within a

@@ -9,7 +9,7 @@ chain tables are closed forms too (bitwise and/or, min/max), seeded as
 forms and evaluated on first read, so writing a document never builds
 them; the premise still re-derives and compares both.  Subspace spans and
 containment are array products, and subspace tables come from core's
-recursion over those covers.  Only M3 and N5 take the validating path
+bound derivation over that order.  Only M3 and N5 take the validating path
 through build_lattice.  Every generator checks its size before it builds
 anything.
 """
@@ -43,12 +43,21 @@ def boolean_lattice(n: int) -> FiniteLattice:
         for mask in range(size)
     ]
     idx = np.arange(size, dtype=np.int32)
-    bits = idx.astype(np.uint16)  # n <= MAX_BOOLEAN_EXPONENT = 12 bits
-    leq = (bits[:, None] & ~bits[None, :]) == 0  # x is a subset of y
+    # Subsets of the first i + 1 letters: a set without letter i lies below
+    # a set with it iff it lies below that set minus the letter, and a set
+    # with it lies below only the sets with it.
+    leq = np.zeros((size, size), dtype=bool)
+    leq[0, 0] = True
+    covers = np.zeros((size, size), dtype=bool)
+    for i in range(n):
+        h = 1 << i
+        leq[:h, h : 2 * h] = leq[h : 2 * h, h : 2 * h] = leq[:h, :h]
+        below = idx[idx & h == 0]
+        covers[below, below | h] = True
     heights = sum((idx >> i) & 1 for i in range(n)).astype(np.int32)
     lat = FiniteLattice(labels, leq, 0, size - 1, name=f"B_{n}")
     lat._set_heights(heights)
-    lat._set_covers(_graded_covers(leq, heights))
+    lat._set_covers(covers)
     lat._set_table_forms(lambda: idx[:, None] & idx[None, :], lambda: idx[:, None] | idx[None, :])
     return lat
 
@@ -152,7 +161,7 @@ def subspace_lattice(dimension: int, field_order: int) -> FiniteLattice:
     # Derived from the seeded covers and heights, which the premise checks,
     # and filled here.  No closed form gives them, and every consumer but the
     # document writer reads them: a construction search over this lattice
-    # would otherwise pay the recursion inside its first call.
+    # would otherwise pay the derivation inside its first call.
     lat.join_table, lat.meet_table
     return lat
 

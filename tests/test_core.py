@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latlab import (
     Chain,
@@ -23,6 +25,7 @@ from latlab import core
 from latlab.limits import chain_cap, element_cap
 
 from oracles import brute_chains, brute_heights, brute_join, brute_meet, leq_rows, scan_bound_tables
+from test_deciders import _relation, bounded_posets, dm_completions
 
 
 def powerset_pairs():
@@ -275,6 +278,76 @@ def test_premise_recomputes_only_the_tables_passed_in(monkeypatch):
     # Bitwise tables are passed in, so the premise re-derives both.
     assert boolean_lattice(3).tables_match_order()
     assert len(calls) == 2
+
+
+def _assert_bound_kernels_agree(labels, pairs):
+    """Over the order that ``pairs`` generate, the one-word kernel
+    (n <= 64), the cover recursion and the frozen scan give equal join and
+    meet tables, or all of them reject the order."""
+    leq, covers, heights = core._order(_relation(len(labels), pairs), labels)
+    try:
+        meet, join = scan_bound_tables(leq, heights, labels)
+    except NotALattice:
+        meet = join = None
+    dual = (leq.T, covers.T, heights.max() - heights)
+    for want, (order, cov, rank) in ((join, (leq, covers, heights)), (meet, dual)):
+        got = {"cover": core._cover_lubs(order, cov, rank)}
+        if leq.shape[0] <= 64:
+            got["word"] = core._word_lubs(order, rank)
+        for kernel, table in got.items():
+            if want is None:
+                assert table is None, kernel
+            else:
+                assert table.dtype == np.int32 and np.array_equal(table, want), kernel
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(bounded_posets(), dm_completions()))
+def test_bound_kernels_match_the_scan_on_random_orders(order):
+    _assert_bound_kernels_agree(*order)
+
+
+def _shuffled_build(size, pairs):
+    """build_lattice over the order given by ``pairs`` on range(size), with
+    the elements renumbered at random so that rank order is not index order."""
+    perm = np.random.default_rng(0).permutation(size).tolist()
+    return build_lattice([f"e{perm[i]}" for i in range(size)],
+                         [(perm[a], perm[b]) for a, b in pairs])
+
+
+def test_bound_kernels_agree_at_the_one_word_boundary():
+    # M_62: 62 atoms between bottom and top.  Two atoms join at the top,
+    # numbered 63, so the kernel reads bit 63 of their common up-set.
+    m62 = [(0, a) for a in range(1, 63)] + [(a, 63) for a in range(1, 63)]
+    for lat in (chain(64), chain(65), boolean_lattice(6), subspace_lattice(2, 61),
+                _shuffled_build(64, m62)):
+        assert lat.size in (64, 65), lat.name
+        _assert_bound_kernels_agree(lat.labels, lat.upper_neighbors())
+        assert lat.tables_match_order(), lat.name
+
+
+def test_bound_kernels_reject_a_64_element_order_without_joins():
+    # Bottom, 60 atoms, two coatoms above every atom, top: two atoms have
+    # two minimal upper bounds, numbered 61 and 62.
+    pairs = [(0, a) for a in range(1, 61)] + [(61, 63), (62, 63)]
+    pairs += [(a, c) for a in range(1, 61) for c in (61, 62)]
+    _assert_bound_kernels_agree([str(e) for e in range(64)], pairs)
+    with pytest.raises(NotALattice):
+        _shuffled_build(64, pairs)
+
+
+def test_only_orders_above_64_elements_take_the_cover_recursion(monkeypatch):
+    recursions = []
+    original = core._cover_lubs
+
+    def counted(*args):
+        recursions.append(args[0].shape[0])
+        return original(*args)
+
+    monkeypatch.setattr(core, "_cover_lubs", counted)
+    for size in (2, 63, 64, 65, 66):
+        assert chain(size).tables_match_order()
+    assert recursions == [65, 65, 66, 66]
 
 
 def test_hand_built_lattice_without_tables_derives_them():
