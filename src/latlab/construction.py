@@ -307,20 +307,6 @@ def split_element(
     )
 
 
-def split_element_branches(
-    structure: PartialStructure, symbol: str
-) -> list[PartialStructure]:
-    """One structure per admissible height split of the constant."""
-    h = structure.height_of(symbol)
-    if h is None or symbol not in structure.constants:
-        raise UnknownConstant(f"unknown constant {symbol!r}", witness=(symbol,))
-    if h < 2:
-        raise DepthExhausted(
-            f"cannot split {symbol!r} at height {h}", witness=(symbol,)
-        )
-    return [split_element(structure, symbol, (i, h - i)) for i in range(1, h)]
-
-
 def add_split_alternative(
     structure: PartialStructure, symbol: str, part: str, other: str
 ) -> PartialStructure:

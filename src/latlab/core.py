@@ -29,19 +29,12 @@ algorithms and compares.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    NoBoundingElements,
-    NotALattice,
-    NotAPartialOrder,
-    NotComparable,
-    SizeBound,
-)
-from .limits import chain_cap, element_cap
+from .errors import NoBoundingElements, NotALattice, NotAPartialOrder, SizeBound
+from .limits import element_cap
 
 ElementId = int
 
@@ -239,11 +232,6 @@ class FiniteLattice:
         """Elements whose only strict lower bound is bottom."""
         return tuple(int(a) for a in np.flatnonzero(self.heights == 1))
 
-    def complements_of(self, x: ElementId) -> tuple[ElementId, ...]:
-        """All y with x meet y = bottom and x join y = top, ascending."""
-        mask = (self.meet_table[x] == self.bottom) & (self.join_table[x] == self.top)
-        return tuple(int(y) for y in np.flatnonzero(mask))
-
     def join_all(self, xs) -> ElementId:
         out = self.bottom
         for x in xs:
@@ -356,20 +344,6 @@ class FiniteLattice:
 
     def index_of(self, label: str) -> ElementId:
         return self._index[label]
-
-    def interval(self, lo: ElementId, hi: ElementId) -> "FiniteLattice":
-        """The interval [lo, hi] as a standalone lattice (labels preserved)."""
-        if not self.le(lo, hi):
-            raise NotComparable(f"{self.labels[lo]} is not below {self.labels[hi]}")
-        keep = [int(e) for e in range(self.size) if self.le(lo, e) and self.le(e, hi)]
-        labels = [self.labels[e] for e in keep]
-        pairs = [
-            (i, j)
-            for i, x in enumerate(keep)
-            for j, y in enumerate(keep)
-            if self.le(x, y)
-        ]
-        return build_lattice(labels, pairs, name=f"{self.name}[{lo},{hi}]")
 
 
 # Scratch budget of the cover recursion, in table entries per step; a step
@@ -569,82 +543,3 @@ def build_lattice(labels, leq_pairs, name="") -> FiniteLattice:
     lat._set_covers(covers)
     lat._tables_match_order = True
     return lat
-
-
-@dataclass(frozen=True)
-class Chain:
-    """Strictly descending sequence of elements of one lattice."""
-
-    lattice: FiniteLattice
-    elements: tuple[ElementId, ...]
-
-    def __post_init__(self):
-        els = self.elements
-        if not els:
-            raise ValueError("a chain has at least one element")
-        for a, b in zip(els, els[1:]):
-            if a == b or not self.lattice.le(b, a):
-                raise ValueError("chain elements must strictly descend")
-
-    def __len__(self):
-        return len(self.elements)
-
-    @property
-    def endpoints(self) -> tuple[ElementId, ElementId]:
-        return self.elements[0], self.elements[-1]
-
-    def is_maximal(self) -> bool:
-        """True iff every step is a covering step (no element fits between)."""
-        covers = self.lattice.covers
-        return all(covers[b, a] for a, b in zip(self.elements, self.elements[1:]))
-
-
-def chains_between(lat: FiniteLattice, a: ElementId, b: ElementId) -> list[Chain]:
-    """All chains (maximal and not) between two comparable elements.
-
-    Chains run from the higher end down to the lower; if the arguments come
-    in ascending order they are swapped.  Refuses lattices above the chain
-    enumeration cap.
-    """
-    cap = chain_cap()
-    if lat.size > cap:
-        raise SizeBound(f"chain enumeration is capped at {cap} elements")
-    if lat.le(b, a):
-        hi, lo = a, b
-    elif lat.le(a, b):
-        hi, lo = b, a
-    else:
-        raise NotComparable(
-            f"{lat.labels[a]!r} and {lat.labels[b]!r} are incomparable",
-            witness=(a, b),
-        )
-    if hi == lo:
-        return [Chain(lat, (hi,))]
-
-    interval = [e for e in range(lat.size) if lat.le(lo, e) and lat.le(e, hi)]
-    out: list[Chain] = []
-
-    def descend(prefix: list[ElementId]):
-        tail = prefix[-1]
-        if tail == lo:
-            out.append(Chain(lat, tuple(prefix)))
-            return
-        for e in interval:
-            if e != tail and lat.le(e, tail):
-                descend(prefix + [e])
-
-    descend([hi])
-    del descend  # it holds itself through its closure: free this call's state now
-    out.sort(key=lambda c: (len(c.elements), c.elements))
-    return out
-
-
-def is_refinement(c1: Chain, c2: Chain) -> bool:
-    """True iff c2 is a chain with c1's endpoints whose elements strictly
-    contain c1's."""
-    if c1.lattice is not c2.lattice:
-        return False
-    if c1.endpoints != c2.endpoints:
-        return False
-    s1, s2 = set(c1.elements), set(c2.elements)
-    return s1 < s2

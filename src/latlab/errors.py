@@ -26,10 +26,6 @@ class NoBoundingElements(LatticeError):
     """The order has no global bottom or no global top."""
 
 
-class NotComparable(LatticeError):
-    """Chain endpoints are incomparable."""
-
-
 class NotGraded(LatticeError):
     """Element heights are inconsistent with a graded (ranked) order."""
 

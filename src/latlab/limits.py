@@ -9,7 +9,6 @@ ValueError.
 import os
 
 MAX_ELEMENTS = 4096
-MAX_CHAIN_ELEMENTS = 256
 MAX_BOOLEAN_EXPONENT = 12
 MAX_TREE_DEPTH = 6
 # B_8 has 256 elements, the ambient cap.
@@ -19,7 +18,6 @@ MAX_REALIZATION_ELEMENTS = 256
 MAX_REALIZATION_CONSTANTS = 64
 MAX_AMBIENT_ELEMENTS = 256
 MAX_SUBSTRUCTURE_CONSTANTS = 8
-MAX_INDEPENDENCE_ATOMS = 24
 
 ENV_VAR = "LATTICE_MAX_ELEMENTS"
 
@@ -43,10 +41,6 @@ def element_cap(builtin=MAX_ELEMENTS):
     if env is None:
         return builtin
     return min(builtin, env)
-
-
-def chain_cap():
-    return element_cap(MAX_CHAIN_ELEMENTS)
 
 
 def ambient_cap():

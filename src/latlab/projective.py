@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ElementId, FiniteLattice, _first_pair
-from .errors import NotAtomic, NotAtoms, NotGraded, SizeBound
-from .limits import MAX_INDEPENDENCE_ATOMS
+from .errors import NotAtomic, NotAtoms, NotGraded
 from .props import Law, LawReport, is_atomic
 
 
@@ -108,33 +107,6 @@ def is_independent(lat: FiniteLattice, qs) -> bool:
         if lat.le(q, rest):
             return False
     return True
-
-
-def max_independent_set(lat: FiniteLattice) -> tuple[ElementId, ...]:
-    """Lexicographically first independent atom set of maximum size."""
-    atomic = is_atomic(lat)
-    if not atomic.holds:
-        raise NotAtomic("lattice is not atomic", witness=atomic.witness)
-    atoms = list(lat.atoms())
-    if len(atoms) > MAX_INDEPENDENCE_ATOMS:
-        raise SizeBound(
-            f"independence search is capped at {MAX_INDEPENDENCE_ATOMS} atoms"
-        )
-
-    best: list[ElementId] = []
-
-    def extend(chosen: list[ElementId], start: int):
-        nonlocal best
-        if len(chosen) > len(best):
-            best = list(chosen)
-        for i in range(start, len(atoms)):
-            cand = chosen + [atoms[i]]
-            if is_independent(lat, cand):
-                extend(cand, i + 1)
-
-    extend([], 0)
-    del extend  # it holds itself through its closure: free this call's state now
-    return tuple(best)
 
 
 def check_spanning(lat: FiniteLattice, n: int) -> LawReport:

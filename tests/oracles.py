@@ -64,24 +64,6 @@ def brute_heights(rows):
     return [height(x) for x in range(size)]
 
 
-def brute_chains(rows, top, bottom):
-    """All strictly descending chains from top to bottom."""
-    size = len(rows)
-    found = []
-
-    def walk(prefix):
-        last = prefix[-1]
-        if last == bottom:
-            found.append(tuple(prefix))
-            return
-        for nxt in range(size):
-            if nxt != last and rows[nxt][last] and rows[bottom][nxt]:
-                walk(prefix + [nxt])
-
-    walk([top])
-    return sorted(found, key=lambda c: (len(c), c))
-
-
 def _brute_complements(lat, rows):
     """Per element, the set of its complements: meets and joins read off
     the order by scanning."""
@@ -119,21 +101,6 @@ def brute_atomic(lat):
         if out != x:
             return LawReport(Law.ATOMIC, False, (x,), f"join of atoms below is {lat.labels[out]!r}")
     return LawReport(Law.ATOMIC, True)
-
-
-def brute_equal_height_perspective(lat):
-    """The first pair x < y of equal longest-chain height without a common
-    complement, or the law holds."""
-    from latlab.props import Law, LawReport, PerspectivityMode
-
-    mode = PerspectivityMode.EQUAL_HEIGHT_PAIRS.value
-    rows = leq_rows(lat)
-    heights = brute_heights(rows)
-    comp = _brute_complements(lat, rows)
-    for x, y in itertools.combinations(range(lat.size), 2):
-        if heights[x] == heights[y] and not comp[x] & comp[y]:
-            return LawReport(Law.PERSPECTIVE, False, (x, y), mode)
-    return LawReport(Law.PERSPECTIVE, True, detail=mode)
 
 
 def _brute_graded(lat, rows, heights):
@@ -950,13 +917,12 @@ def loop_p2(view):
 
 def loop_atoms_perspective(lat):
     """Every two atoms share a complement."""
-    from latlab.props import Law, LawReport, PerspectivityMode
+    from latlab.props import Law, LawReport
 
-    mode = PerspectivityMode.ATOMS_ONLY
     pool = list(lat.atoms())
     comp = (lat.meet_table == lat.bottom) & (lat.join_table == lat.top)
     for i, x in enumerate(pool):
         for y in pool[i + 1 :]:
             if not (comp[x] & comp[y]).any():
-                return LawReport(Law.PERSPECTIVE, False, (x, y), mode.value)
-    return LawReport(Law.PERSPECTIVE, True, detail=mode.value)
+                return LawReport(Law.PERSPECTIVE, False, (x, y), "atoms")
+    return LawReport(Law.PERSPECTIVE, True, detail="atoms")

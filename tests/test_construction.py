@@ -32,7 +32,6 @@ from latlab import (
     build_lattice,
     build_tree,
     chain,
-    chains_between,
     coplanar_lines_structure,
     derive_independent_atoms,
     diamond_m3,
@@ -41,12 +40,10 @@ from latlab import (
     initial_structure,
     is_modular,
     line_probe_structure,
-    max_independent_set,
     pentagon_n5,
     satisfies,
     saturate_splits,
     split_element,
-    split_element_branches,
     subspace_lattice,
     triple_split_structure,
     verify_boolean_pipeline,
@@ -155,14 +152,6 @@ def test_split_element_guards():
     with pytest.raises(DepthExhausted) as exc:
         split_element(atomized, "c1")
     assert exc.value.witness == ("c1",)
-
-
-def test_split_branches_cover_every_height_split():
-    branches = split_element_branches(initial_structure(3), "1")
-    assert [(b.height_of("b1"), b.height_of("c1")) for b in branches] == [
-        (1, 2),
-        (2, 1),
-    ]
 
 
 def test_alternative_requires_recorded_split():
@@ -288,8 +277,7 @@ def test_pinned_search():
 
 @pytest.mark.parametrize(
     "search",
-    ["find_realization", "boolean_sublattices", "chains_between",
-     "max_independent_set", "chain_height"],
+    ["find_realization", "boolean_sublattices", "chain_height"],
 )
 def test_search_leaves_no_cyclic_garbage(search):
     # Each search recurses through a nested function that holds itself
@@ -303,8 +291,6 @@ def test_search_leaves_no_cyclic_garbage(search):
             and find_realization(probe, fano, pin={"l": fano.top}) is None
         ),
         "boolean_sublattices": lambda: enumerate_boolean_sublattices(fano),
-        "chains_between": lambda: chains_between(fano, fano.top, fano.bottom),
-        "max_independent_set": lambda: len(max_independent_set(fano)) == 3,
         "chain_height": lambda: chain_height(fano, fano.top) == 3,
     }
     gc.collect()
@@ -527,6 +513,49 @@ def test_projective_pipeline_bounds_come_before_generation(monkeypatch, n, q):
     monkeypatch.setattr(construction, "subspace_lattice", _refuse)
     with pytest.raises(SizeBound):
         verify_projective_pipeline(n, q)
+
+
+def test_tree_depth_cap_comes_before_splitting(monkeypatch):
+    monkeypatch.setattr(construction, "saturate_splits", _refuse)
+    for depth in (0, construction.MAX_TREE_DEPTH + 1):
+        with pytest.raises(SizeBound):
+            build_tree(depth)
+
+
+def test_realization_caps_come_before_the_search(monkeypatch):
+    b2, tree = boolean_lattice(2), build_tree(1)
+    count = construction.MAX_REALIZATION_CONSTANTS + 1
+    wide = initial_structure(2).extend(
+        constants=tuple(f"z{i}" for i in range(count)),
+        statements=tuple(Statement.height_is(f"z{i}", 1) for i in range(count)),
+    )
+    monkeypatch.setattr(construction, "_all_hold", _refuse)
+    with pytest.raises(SizeBound, match="constants"):
+        find_realization(wide, b2)
+    monkeypatch.setenv("LATTICE_MAX_ELEMENTS", str(b2.size - 1))
+    with pytest.raises(SizeBound, match="elements"):
+        find_realization(tree, b2)
+
+
+def test_closure_constant_cap_comes_before_the_search_and_the_memo(monkeypatch):
+    # Free constants, so that a realization exists in B_4 to pass in.
+    count = construction.MAX_SUBSTRUCTURE_CONSTANTS + 1
+    free = initial_structure(4).extend(constants=tuple(f"z{i}" for i in range(count)))
+    b4 = boolean_lattice(4)
+    realization = find_realization(free, b4)
+    assert realization is not None
+    monkeypatch.setattr(construction, "find_realization", _refuse)
+    monkeypatch.setattr(construction, "_shared_elements", _refuse)
+    for given_realization in (None, realization):
+        with pytest.raises(SizeBound):
+            boolean_closure(free, free.constants, b4, given_realization)
+
+
+def test_ambient_cap_comes_before_enumeration(monkeypatch):
+    big = boolean_lattice(9)
+    monkeypatch.setattr(construction, "_all_boolean_sublattices", _refuse)
+    with pytest.raises(SizeBound):
+        enumerate_boolean_sublattices(big)
 
 
 # Requests whose size is decided by a bound that needs neither the subspace

@@ -6,25 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latlab import (
-    Chain,
     NoBoundingElements,
     NotALattice,
     NotAPartialOrder,
-    NotComparable,
     SizeBound,
     boolean_lattice,
     build_lattice,
     chain,
-    chains_between,
     diamond_m3,
-    is_refinement,
     pentagon_n5,
     subspace_lattice,
 )
 from latlab import core
-from latlab.limits import chain_cap, element_cap
+from latlab.limits import element_cap
 
-from oracles import brute_chains, brute_heights, brute_join, brute_meet, leq_rows, scan_bound_tables
+from oracles import brute_heights, brute_join, brute_meet, leq_rows, scan_bound_tables
 from test_deciders import _relation, bounded_posets, dm_completions
 
 
@@ -183,20 +179,26 @@ def test_atoms_examples():
     assert two.atoms() == (two.top,)
 
 
+def _complements(lat, x):
+    """All y with x meet y = bottom and x join y = top, ascending."""
+    mask = (lat.meet_table[x] == lat.bottom) & (lat.join_table[x] == lat.top)
+    return tuple(int(y) for y in np.flatnonzero(mask))
+
+
 def test_complements_examples():
     b3 = boolean_lattice(3)
-    assert b3.complements_of(b3.bottom) == (b3.top,)
+    assert _complements(b3, b3.bottom) == (b3.top,)
     a = b3.index_of("{a}")
-    assert [b3.labels[c] for c in b3.complements_of(a)] == ["{b,c}"]
+    assert [b3.labels[c] for c in _complements(b3, a)] == ["{b,c}"]
     m3 = diamond_m3()
-    assert sorted(m3.labels[c] for c in m3.complements_of(m3.index_of("a"))) == ["b", "c"]
+    assert sorted(m3.labels[c] for c in _complements(m3, m3.index_of("a"))) == ["b", "c"]
 
 
 def test_every_boolean_element_has_exactly_one_complement():
     for n in (2, 3, 4):
         b = boolean_lattice(n)
         for x in range(b.size):
-            assert len(b.complements_of(x)) == 1
+            assert len(_complements(b, x)) == 1
 
 
 def _count_order_calls(monkeypatch):
@@ -409,74 +411,6 @@ def test_malformed_element_cap_env_var_is_rejected(monkeypatch, raw):
     monkeypatch.setenv("LATTICE_MAX_ELEMENTS", raw)
     with pytest.raises(ValueError, match="LATTICE_MAX_ELEMENTS"):
         element_cap()
-    with pytest.raises(ValueError, match="LATTICE_MAX_ELEMENTS"):
-        chain_cap()
-
-
-def test_chains_between_trivial_and_diamond():
-    two = chain(2)
-    found = chains_between(two, two.top, two.bottom)
-    assert [c.elements for c in found] == [(1, 0)]
-
-    b2 = boolean_lattice(2)
-    found = chains_between(b2, b2.top, b2.bottom)
-    oracle = brute_chains(leq_rows(b2), b2.top, b2.bottom)
-    assert [c.elements for c in found] == oracle
-    maximal = [c for c in found if c.is_maximal()]
-    assert len(maximal) == 2  # one through either atom
-    assert all(len(c) == 3 for c in maximal)
-
-
-def test_chains_between_matches_oracle_on_b3():
-    b3 = boolean_lattice(3)
-    found = chains_between(b3, b3.top, b3.bottom)
-    assert [c.elements for c in found] == brute_chains(leq_rows(b3), b3.top, b3.bottom)
-    assert sum(c.is_maximal() for c in found) == 6
-
-
-def test_chains_between_orients_and_rejects_incomparable():
-    b2 = boolean_lattice(2)
-    down = chains_between(b2, b2.top, b2.bottom)
-    up = chains_between(b2, b2.bottom, b2.top)
-    assert [c.elements for c in down] == [c.elements for c in up]
-    atoms = b2.atoms()
-    with pytest.raises(NotComparable):
-        chains_between(b2, atoms[0], atoms[1])
-
-
-def test_chain_validation_and_refinement():
-    b2 = boolean_lattice(2)
-    atom = b2.atoms()[0]
-    coarse = Chain(b2, (b2.top, b2.bottom))
-    fine = Chain(b2, (b2.top, atom, b2.bottom))
-    assert is_refinement(coarse, fine)
-    assert not is_refinement(fine, coarse)
-    assert not is_refinement(coarse, coarse)
-    with pytest.raises(ValueError):
-        Chain(b2, (b2.bottom, b2.top))  # ascending, not descending
-    with pytest.raises(ValueError):
-        Chain(b2, (b2.top, b2.top))
-    other = Chain(b2, (b2.top, atom))
-    assert not is_refinement(other, fine)  # endpoints differ
-
-
-def test_chain_enumeration_cap(monkeypatch):
-    lat = subspace_lattice(3, 2)
-    monkeypatch.setenv("LATTICE_MAX_ELEMENTS", "8")
-    assert chain_cap() == 8
-    with pytest.raises(SizeBound):
-        chains_between(lat, lat.top, lat.bottom)
-
-
-def test_interval_of_fano_line_is_five_elements():
-    fano = subspace_lattice(3, 2)
-    line = next(e for e in range(fano.size) if fano.height(e) == 2)
-    seg = fano.interval(fano.bottom, line)
-    assert seg.size == 5
-    assert seg.height(seg.top) == 2
-    atoms = fano.atoms()
-    with pytest.raises(NotComparable):
-        fano.interval(atoms[0], atoms[1])
 
 
 def test_upper_neighbors_counts():

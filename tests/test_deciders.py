@@ -6,9 +6,9 @@ identical NotALattice message and witness, and identical LawReports,
 including on lattices whose tables or order were forged so that the
 deciders' premise fails.  The row scans of P1, P2 and atoms-only
 perspectivity must return the frozen pair loops' reports, witness and detail
-included.  Complemented, atomic and equal-height perspective must return
-the reports of brute-force scans of the order, and random lattices must
-survive a write and a load unchanged.
+included.  Complemented and atomic must return the reports of brute-force
+scans of the order, and random lattices must survive a write and a load
+unchanged.
 """
 
 import itertools
@@ -26,7 +26,6 @@ from latlab import (
     NotAPartialOrder,
     NotAtomic,
     NotGraded,
-    PerspectivityMode,
     SizeBound,
     boolean_lattice,
     build_lattice,
@@ -59,7 +58,6 @@ from oracles import (
     argwhere_cover_pairs,
     brute_atomic,
     brute_complemented,
-    brute_equal_height_perspective,
     brute_heights,
     brute_spanning,
     brute_third_point,
@@ -546,8 +544,6 @@ def test_row_scans_match_the_pair_loops_on_examples(fano, broken_plane, monkeypa
 LAW_ORACLES = (
     (is_complemented, brute_complemented),
     (is_atomic, brute_atomic),
-    (lambda lat: is_perspective_lattice(lat, PerspectivityMode.EQUAL_HEIGHT_PAIRS),
-     brute_equal_height_perspective),
 )
 
 

@@ -5,6 +5,7 @@ import os
 import sys
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -136,7 +137,7 @@ def _gen(tmp_path, *argv):
 
 def test_gen_emits_canonical_documents(tmp_path, capsys):
     path = _gen(tmp_path, "gen", "boolean", "--n", "3")
-    doc = parse_document(open(path).read())
+    doc = parse_document(Path(path).read_text(encoding="utf-8"))
     assert len(doc.elements) == 8 and len(doc.order) == 12
     assert main(["gen", "m3"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -357,7 +358,7 @@ def test_export_dot_and_json(tmp_path, capsys):
     dot = capsys.readouterr().out
     assert dot.count(" -> ") == 12
     assert main(["export", path, "--format", "json"]) == 0
-    assert capsys.readouterr().out == open(path).read()
+    assert capsys.readouterr().out == Path(path).read_text(encoding="utf-8")
 
 
 def test_argparse_level_errors(capsys):

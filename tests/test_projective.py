@@ -6,7 +6,6 @@ from latlab import (
     NotAtomic,
     NotAtoms,
     NotGraded,
-    SizeBound,
     boolean_lattice,
     chain,
     check_p1,
@@ -16,7 +15,6 @@ from latlab import (
     diamond_m3,
     geometry_view,
     is_independent,
-    max_independent_set,
     pentagon_n5,
     subspace_lattice,
     verify_bvn_characterization,
@@ -110,22 +108,6 @@ def test_independent_joins_have_matching_height(fano):
         for combo in itertools.combinations(fano.atoms(), k):
             if is_independent(fano, combo):
                 assert fano.height(fano.join_all(combo)) == k
-
-
-def test_max_independent_set_sizes(fano):
-    for n in (1, 2, 3, 4):
-        lat = boolean_lattice(n)
-        assert max_independent_set(lat) == lat.atoms()
-    assert len(max_independent_set(fano)) == 3
-    assert len(max_independent_set(diamond_m3())) == 2
-    assert max_independent_set(chain(2)) == (1,)
-
-
-def test_max_independent_set_guards():
-    with pytest.raises(NotAtomic):
-        max_independent_set(chain(3))
-    with pytest.raises(SizeBound):
-        max_independent_set(subspace_lattice(2, 29))  # 30 atoms
 
 
 def test_spanning_reports(fano):

@@ -1,5 +1,3 @@
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,13 +6,10 @@ from latlab import (
     Law,
     NotAtomic,
     NotGraded,
-    PerspectivityMode,
     boolean_lattice,
     chain,
     check_lattice_axioms,
-    common_complement,
     diamond_m3,
-    height_report,
     is_atomic,
     is_complemented,
     is_distributive,
@@ -22,12 +17,9 @@ from latlab import (
     is_perspective_lattice,
     pentagon_n5,
     satisfies_height_law,
-    subspace_lattice,
     witness_violates,
 )
 from latlab.witness import LAWS
-
-from oracles import brute_heights, leq_rows
 
 
 def test_axioms_hold_on_all_built_lattices(law_corpus):
@@ -93,13 +85,6 @@ def test_height_law_examples():
     assert [n5.labels[w] for w in report.witness] == ["a", "b"]
 
 
-def test_height_report_carries_heights():
-    n5 = pentagon_n5()
-    rep = height_report(n5)
-    assert list(rep.heights) == brute_heights(leq_rows(n5))
-    assert rep.law.law is Law.HEIGHT_LAW and not rep.law.holds
-
-
 def test_complemented_atomic_examples(fano):
     for n in (1, 2, 3, 4):
         b = boolean_lattice(n)
@@ -114,23 +99,6 @@ def test_complemented_atomic_examples(fano):
     assert is_atomic(fano).holds
 
 
-def test_common_complement_examples(fano):
-    b3 = boolean_lattice(3)
-    a, b = b3.index_of("{a}"), b3.index_of("{b}")
-    assert common_complement(b3, a, a) == b3.index_of("{b,c}")
-    assert common_complement(b3, a, b) is None
-
-    points = fano.atoms()
-    p, q = points[0], points[1]
-    z = common_complement(fano, p, q)
-    assert z is not None
-    # inclusion-exclusion oracle: lines avoiding both points number 7-3-3+1 = 2
-    lines = [e for e in range(fano.size) if fano.height(e) == 2]
-    avoiding = [l for l in lines if not fano.le(p, l) and not fano.le(q, l)]
-    assert len(avoiding) == 2
-    assert z in avoiding
-
-
 def test_perspectivity_examples(fano):
     b2 = boolean_lattice(2)
     report = is_perspective_lattice(b2)
@@ -138,14 +106,6 @@ def test_perspectivity_examples(fano):
     assert set(report.witness) == set(b2.atoms())
     assert is_perspective_lattice(fano).holds
     assert is_perspective_lattice(chain(2)).holds  # vacuous: one atom
-
-
-def test_perspectivity_equal_height_mode(fano):
-    report = is_perspective_lattice(fano, PerspectivityMode.EQUAL_HEIGHT_PAIRS)
-    assert report.holds  # lines are pairwise perspective via avoiding points
-    assert not is_perspective_lattice(
-        boolean_lattice(3), PerspectivityMode.EQUAL_HEIGHT_PAIRS
-    ).holds
 
 
 def test_implication_chain_on_corpus(law_corpus):
