@@ -16,11 +16,17 @@ in one uint64, bits numbered along a linear extension: the least upper
 bound of x and y, when it exists, is the lowest set bit z of
 up(x) & up(y), and it exists iff up(z) == up(x) & up(y) (the bit-vector
 encoding of Ait-Kaci, Boyer, Lincoln & Nasr, "Efficient implementation of
-lattice operations", TOPLAS 1989).  Larger orders take the recursion over
-upper covers.  Generators elsewhere in the package reuse
-:class:`FiniteLattice` directly, seeding closed-form heights and covers, and
-closed-form tables as forms evaluated on first read; any other lattice
-derives heights and covers from ``leq`` with the same pass, on first use.
+lattice operations", TOPLAS 1989).  Larger orders whose k elements of exactly
+one upper cover (the meet-irreducibles, in a lattice) satisfy 2^k <= n^2
+key each element by the bits of those above it: in a lattice every element
+is the meet of the meet-irreducibles above it (Davey & Priestley,
+"Introduction to Lattices and Order", ch. 2), so the join of x and y is the
+element whose key is key[x] & key[y], read from a table of 2^k entries.
+The rest take the recursion over upper covers.  Generators elsewhere in
+the package reuse :class:`FiniteLattice` directly, seeding closed-form
+heights and covers, and closed-form tables as forms evaluated on first read;
+any other lattice derives heights and covers from ``leq`` with the same
+pass, on first use.
 The law deciders' premise, :meth:`FiniteLattice.tables_match_order`,
 recomputes the order and every table passed in or seeded with the same two
 algorithms and compares.
@@ -346,8 +352,9 @@ class FiniteLattice:
         return self._index[label]
 
 
-# Scratch budget of the cover recursion, in table entries per step; a step
-# holds at least one element, so scratch stays within max(budget, n^2).
+# Scratch budget of the cover recursion and the key kernel, in table entries
+# per step; a step holds at least one element, so scratch stays within
+# max(budget, n^2).
 _STEP_ENTRIES = 1 << 22
 
 # Orders of at most this many elements hold each up-set in one uint64.
@@ -359,12 +366,19 @@ def _least_upper_bounds(leq: np.ndarray, covers: np.ndarray, rank: np.ndarray) -
     least upper bound.
 
     ``rank`` must strictly increase along the order.  Orders of at most 64
-    elements take one machine word per up-set (:func:`_word_lubs`); larger
-    ones the recursion over upper covers (:func:`_cover_lubs`).  Both give
-    the same table, and both give None on the same orders.
+    elements take one machine word per up-set (:func:`_word_lubs`).  Larger
+    orders with k elements of exactly one upper cover take one key of k bits
+    per element (:func:`_key_lubs`) when its lookup table of 2^k entries
+    is no larger than the n^2 table it fills; the rest take the recursion
+    over upper covers (:func:`_cover_lubs`).  All three give the same table,
+    and all three give None on the same orders.
     """
-    if leq.shape[0] <= _WORD_BITS:
+    n = leq.shape[0]
+    if n <= _WORD_BITS:
         return _word_lubs(leq, rank)
+    irreducible = np.count_nonzero(covers, axis=1) == 1
+    if 1 << int(np.count_nonzero(irreducible)) <= n * n:
+        return _key_lubs(leq, irreducible)
     return _cover_lubs(leq, covers, rank)
 
 
@@ -391,6 +405,39 @@ def _word_lubs(leq: np.ndarray, rank: np.ndarray) -> np.ndarray | None:
     lub = perm.take(number)
     if not np.array_equal(up.take(lub), common):
         return None
+    return lub
+
+
+def _key_lubs(leq: np.ndarray, irreducible: np.ndarray) -> np.ndarray | None:
+    """:func:`_least_upper_bounds` from one key per element: bit i of
+    ``key[x]`` says x <= the i-th element marked ``irreducible``, those with
+    exactly one upper cover.
+
+    In any order x <= y gives key[y] within key[x].  When every pair has a
+    least upper bound, the converse holds too, since every element is the
+    meet of the meet-irreducibles above it (Davey & Priestley, "Introduction
+    to Lattices and Order", ch. 2), and key[x join y] = key[x] & key[y].  So
+    the kernel tests the converse over all pairs, which also makes the keys
+    distinct, and looks each key[x] & key[y] up in a dense table of 2^k
+    entries.  If the converse holds and every lookup finds an element z,
+    then z is an upper bound of x and y, and every upper bound w has key[w]
+    within key[z], so lies above z: the table is the join table.  If either
+    test fails, some pair has no least upper bound.
+    """
+    n = leq.shape[0]
+    k = int(np.count_nonzero(irreducible))
+    key = leq[:, irreducible].astype(np.intp) @ (np.intp(1) << np.arange(k, dtype=np.intp))
+    element = np.full(1 << k, -1, dtype=np.int32)
+    element[key] = np.arange(n, dtype=np.int32)
+    lub = np.empty((n, n), dtype=np.int32)
+    step = max(1, _STEP_ENTRIES // n)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        if not np.array_equal(key[None, :] & ~key[a:b, None] == 0, leq[a:b]):
+            return None
+        element.take(key[a:b, None] & key[None, :], out=lub[a:b])
+        if lub[a:b].min() < 0:
+            return None
     return lub
 
 

@@ -21,7 +21,7 @@ from latlab import core
 from latlab.limits import element_cap
 
 from oracles import brute_heights, brute_join, brute_meet, leq_rows, scan_bound_tables
-from test_deciders import _relation, bounded_posets, dm_completions
+from test_deciders import _relation, bounded_posets, dm_completions, downset_lattices, downset_order
 
 
 def powerset_pairs():
@@ -284,18 +284,25 @@ def test_premise_recomputes_only_the_tables_passed_in(monkeypatch):
 
 def _assert_bound_kernels_agree(labels, pairs):
     """Over the order that ``pairs`` generate, the one-word kernel
-    (n <= 64), the cover recursion and the frozen scan give equal join and
-    meet tables, or all of them reject the order."""
+    (n <= 64), the key kernel, the cover recursion and the frozen scan give
+    equal join and meet tables, or all of them reject the order.  The key
+    kernel runs at any size whenever its lookup table has at most
+    max(n^2, 2^10) entries: the dispatch's bound, widened for the small
+    orders that the dispatch sends to the word kernel."""
     leq, covers, heights = core._order(_relation(len(labels), pairs), labels)
     try:
         meet, join = scan_bound_tables(leq, heights, labels)
     except NotALattice:
         meet = join = None
+    n = leq.shape[0]
     dual = (leq.T, covers.T, heights.max() - heights)
     for want, (order, cov, rank) in ((join, (leq, covers, heights)), (meet, dual)):
         got = {"cover": core._cover_lubs(order, cov, rank)}
-        if leq.shape[0] <= 64:
+        if n <= 64:
             got["word"] = core._word_lubs(order, rank)
+        irreducible = np.count_nonzero(cov, axis=1) == 1
+        if 1 << int(irreducible.sum()) <= max(n * n, 1 << 10):
+            got["key"] = core._key_lubs(order, irreducible)
         for kernel, table in got.items():
             if want is None:
                 assert table is None, kernel
@@ -307,6 +314,15 @@ def _assert_bound_kernels_agree(labels, pairs):
 @given(st.one_of(bounded_posets(), dm_completions()))
 def test_bound_kernels_match_the_scan_on_random_orders(order):
     _assert_bound_kernels_agree(*order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(downset_lattices())
+def test_build_lattice_matches_the_scan_above_64_elements(order):
+    lat = build_lattice(*order)
+    meet, join = scan_bound_tables(lat.leq, lat.heights, lat.labels)
+    assert np.array_equal(lat.join_table, join)
+    assert np.array_equal(lat.meet_table, meet)
 
 
 def _shuffled_build(size, pairs):
@@ -338,18 +354,84 @@ def test_bound_kernels_reject_a_64_element_order_without_joins():
         _shuffled_build(64, pairs)
 
 
-def test_only_orders_above_64_elements_take_the_cover_recursion(monkeypatch):
-    recursions = []
-    original = core._cover_lubs
+# 0 < a, b < c, d < 1: a and b lie below the same meet-irreducibles c and d.
+BOWTIE = (["0", "a", "b", "c", "d", "1"],
+          [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)])
+# x below m1, m2, m3 and y below m1, m2, m4: for joins every key is distinct
+# and the converse holds, but no element lies below exactly m1 and m2.
+TWO_TOPS = (["0", "x", "y", "m1", "m2", "m3", "m4", "1"],
+            [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 6),
+             (3, 7), (4, 7), (5, 7), (6, 7)])
 
-    def counted(*args):
-        recursions.append(args[0].shape[0])
-        return original(*args)
 
-    monkeypatch.setattr(core, "_cover_lubs", counted)
-    for size in (2, 63, 64, 65, 66):
-        assert chain(size).tables_match_order()
-    assert recursions == [65, 65, 66, 66]
+def _times_b4(labels, pairs):
+    """Labels and cover pairs of the product of an order with B_4."""
+    b4 = boolean_lattice(4)
+    k = b4.size
+    product = [f"{x}.{y}" for x in labels for y in b4.labels]
+    covers = [(i * k + j, l * k + j) for i, l in pairs for j in range(k)]
+    covers += [(i * k + j, i * k + l) for i in range(len(labels)) for j, l in b4.upper_neighbors()]
+    return product, covers
+
+
+def _spy_bound_kernels(monkeypatch):
+    routes = []
+    for name in ("_word_lubs", "_key_lubs", "_cover_lubs"):
+        original = getattr(core, name)
+
+        def spied(*args, name=name, original=original):
+            routes.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(core, name, spied)
+    return routes
+
+
+@pytest.mark.parametrize("order, converse", [(BOWTIE, False), (TWO_TOPS, True)],
+                         ids=["bowtie", "two_tops"])
+def test_key_kernel_rejects_each_non_lattice(monkeypatch, order, converse):
+    labels, pairs = order
+    leq, covers, heights = core._order(_relation(len(labels), pairs), labels)
+    irreducible = np.count_nonzero(covers, axis=1) == 1
+    above = leq[:, irreducible]
+    # [x, y]: every meet-irreducible above y lies above x.
+    within = (above[None, :, :] <= above[:, None, :]).all(axis=2)
+    assert np.array_equal(within, leq) == converse
+    assert core._key_lubs(leq, irreducible) is None
+    _assert_bound_kernels_agree(labels, pairs)
+    # Times B_4, the order has more than 64 elements and takes the key
+    # kernel, which returns None; the scan then names the same first pair.
+    labels, pairs = _times_b4(labels, pairs)
+    routes = _spy_bound_kernels(monkeypatch)
+    with pytest.raises(NotALattice) as built:
+        build_lattice(labels, pairs)
+    assert routes == ["_key_lubs"]
+    leq, _, heights = core._order(_relation(len(labels), pairs), labels)
+    with pytest.raises(NotALattice) as scanned:
+        scan_bound_tables(leq, heights, labels)
+    assert (str(built.value), built.value.witness) == (str(scanned.value), scanned.value.witness)
+
+
+def test_each_order_takes_one_bound_kernel(monkeypatch):
+    # Down-sets of seven elements with 0 < 1: 96 elements, 7 meet-irreducibles.
+    downsets = downset_order(7, [0, 1, 0, 0, 0, 0, 0])
+    routes = {
+        "_word_lubs": [lambda: chain(2), lambda: chain(63), lambda: chain(64),
+                       lambda: boolean_lattice(6)],
+        "_key_lubs": [lambda: boolean_lattice(7), lambda: build_lattice(*downsets)],
+        # S(4, 2) has 67 elements but 15 coatoms: a lookup table of 2^15
+        # entries is larger than its 67^2 join table.
+        "_cover_lubs": [lambda: chain(65), lambda: chain(66), lambda: subspace_lattice(3, 7),
+                        lambda: subspace_lattice(4, 3), lambda: subspace_lattice(4, 2)],
+    }
+    taken = _spy_bound_kernels(monkeypatch)
+    for kernel, makers in routes.items():
+        for make in makers:
+            taken.clear()
+            lat = make()
+            assert lat.tables_match_order(), lat.name
+            lat.join_table, lat.meet_table
+            assert taken == [kernel, kernel], (lat.name, lat.size)
 
 
 def test_hand_built_lattice_without_tables_derives_them():

@@ -130,6 +130,54 @@ def dm_completions(draw):
     return _shuffled(draw, len(cuts), pairs)
 
 
+def _downsets(m, below):
+    """The down-sets of a poset on range(m) as bitmasks, ascending; bit e of
+    below[e'] says e < e'."""
+    masks = np.arange(1 << m)
+    closed = np.ones(1 << m, dtype=bool)
+    for e, low in enumerate(below):
+        closed &= (masks >> e & 1 == 0) | (low & ~masks == 0)
+    return masks[closed].tolist()
+
+
+def downset_order(m, below, chain=0):
+    """Labels and cover pairs of the down-set lattice of a poset on range(m),
+    with ``chain`` more elements in a chain above all of it: the random
+    part's down-sets, then a chain of ``chain`` elements on top."""
+    sets = _downsets(m, below) + [(1 << (m + i)) - 1 for i in range(1, chain + 1)]
+    masks = np.array(sets)
+    size = np.array([bin(s).count("1") for s in sets])
+    covers = (masks[:, None] & ~masks[None, :] == 0) & (size[None, :] == size[:, None] + 1)
+    return [f"d{s:x}" for s in sets], np.argwhere(covers).tolist()
+
+
+@st.composite
+def downset_lattices(draw):
+    """The down-set lattice of a random poset, 65 to 200 elements.
+
+    The poset is up to nine random elements, in half the draws with a chain
+    of up to 60 above them, so the lattice is distributive and its
+    meet-irreducibles, one per poset element, are few or many.  Relations are added along a drawn
+    order, each kept only while the lattice stays at 65 elements or more,
+    until it has at most 200.
+    """
+    chain = draw(st.integers(0, 60)) if draw(st.booleans()) else 0
+    m = draw(st.integers(max(3, (64 - chain).bit_length()), 9))
+    below = [0] * m
+    count = (1 << m) + chain
+    for a, b in draw(st.permutations([(a, b) for a in range(m) for b in range(a + 1, m)])):
+        if count <= 200:
+            break
+        down_a = below[a] | 1 << a
+        trial = [low | down_a if e == b or low >> b & 1 else low for e, low in enumerate(below)]
+        size = len(_downsets(m, trial)) + chain
+        if size >= 65:
+            below, count = trial, size
+    assume(count <= 200)
+    labels, pairs = downset_order(m, below, chain)
+    return _shuffled(draw, len(labels), pairs)
+
+
 @st.composite
 def digraphs(draw):
     """An arbitrary relation on up to eight elements: often cyclic, with
