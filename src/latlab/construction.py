@@ -30,7 +30,8 @@ the pipelines test membership of the statements they expect.
 
 Growth checks only what is new.  A structure's height index passes from
 parent to child and is updated from the new statements alone; its split
-index is built on first use.
+index and its search plan (statements grouped by their last constant) are
+built on first use, the plan shared by every search of the structure.
 Each ambient lattice's boolean sublattices are enumerated once, into a memo
 that also gives every element one int whose bit i says "sublattice i
 contains this element"; a closure's extensions and shared elements are
@@ -118,6 +119,15 @@ class Statement(NamedTuple):
         return (self.kind.value, self.operands, self.value)
 
 
+# Statements built in bulk skip the named tuple's Python-level __new__, and
+# the hot loops read the kinds from module globals, not the enum class.
+_new = tuple.__new__
+_JOIN_EQ = StatementKind.JOIN_EQ
+_MEET_EQ = StatementKind.MEET_EQ
+_DISJOINT = StatementKind.DISJOINT
+_HEIGHT_IS = StatementKind.HEIGHT_IS
+
+
 @dataclass(frozen=True)
 class PartialStructure:
     """Immutable set of constants plus statements, with a depth budget."""
@@ -153,6 +163,18 @@ class PartialStructure:
             if symbol not in index or (b, c) < index[symbol]:
                 index[symbol] = (b, c)
         return index
+
+    @functools.cached_property
+    def _plan(self) -> tuple[tuple[Statement, ...], ...]:
+        """The search plan: per constant in declaration order, the statements
+        whose last operand in that order it is, checked once it has its
+        image.  It depends on the structure alone, so every search of the
+        structure, in any lattice and under any pins, shares it."""
+        pos = {c: i for i, c in enumerate(self.constants)}.__getitem__
+        by_last: list[list[Statement]] = [[] for _ in self.constants]
+        for st in self.statements:
+            by_last[max(map(pos, st.operands))].append(st)
+        return tuple(map(tuple, by_last))
 
     def height_of(self, symbol: str) -> int | None:
         return self._heights.get(symbol)
@@ -403,16 +425,16 @@ class Realization:
 def _all_hold(statements, image, lat: FiniteLattice) -> bool:
     """Does every statement hold with each constant read as ``image[constant]``
     in the lattice's meet, join and height tables?"""
-    meet_t, join_t, heights = lat.meet_table, lat.join_table, lat.heights
+    meet, join, height = lat.meet_table.item, lat.join_table.item, lat.heights.item
     for kind, ops, value in statements:
-        if kind is StatementKind.HEIGHT_IS:
-            ok = heights[image[ops[0]]] == value
-        elif kind is StatementKind.JOIN_EQ:
-            ok = join_t[image[ops[0]], image[ops[1]]] == image[ops[2]]
-        elif kind is StatementKind.MEET_EQ:
-            ok = meet_t[image[ops[0]], image[ops[1]]] == image[ops[2]]
+        if kind is _HEIGHT_IS:
+            ok = height(image[ops[0]]) == value
+        elif kind is _JOIN_EQ:
+            ok = join(image[ops[0]], image[ops[1]]) == image[ops[2]]
+        elif kind is _MEET_EQ:
+            ok = meet(image[ops[0]], image[ops[1]]) == image[ops[2]]
         else:
-            ok = meet_t[image[ops[0]], image[ops[1]]] == lat.bottom
+            ok = meet(image[ops[0]], image[ops[1]]) == lat.bottom
         if not ok:
             return False
     return True
@@ -462,28 +484,28 @@ def find_realization(
         if c not in consts:
             raise UnknownConstant(f"pinned constant {c!r} is undeclared", witness=(c,))
 
-    pos = {c: i for i, c in enumerate(consts)}
+    # A pin is one candidate, kept only if it is an element of the declared
+    # height (or the bound itself); an unpinned constant takes every element
+    # of its height, from the lattice's shared per-height tuples.
     heights = lat.heights
-    domains: list[list[int]] = []
+    domains: list[tuple[ElementId, ...] | range] = []
     for c in consts:
         h = structure.height_of(c)
         if c == structure.zero or c == structure.one:
             bound = lat.bottom if c == structure.zero else lat.top
-            dom = [bound] if h is None or heights[bound] == h else []
+            ok = (h is None or heights[bound] == h) and (c not in pin or pin[c] == bound)
+            dom = (bound,) if ok else ()
+        elif c in pin:
+            e = pin[c]
+            ok = e in range(lat.size) and (h is None or heights[int(e)] == h)
+            dom = (int(e),) if ok else ()
         else:
-            dom = list(range(lat.size)) if h is None else np.flatnonzero(heights == h).tolist()
-        if c in pin:
-            dom = [e for e in dom if e == pin[c]]
+            dom = range(lat.size) if h is None else lat.at_height(h)
         if not dom:
             return None
         domains.append(dom)
 
-    # by_last[k]: the statements whose last operand in declaration order is
-    # constant k, checked once constant k has its image.
-    by_last: list[list[Statement]] = [[] for _ in consts]
-    for st in structure.statements:
-        by_last[max(pos[o] for o in st.operands)].append(st)
-
+    by_last = structure._plan
     image: dict[str, int] = {}
     used: set[int] = set()
 
@@ -709,26 +731,26 @@ def boolean_closure(
             f"closure is capped at {MAX_SUBSTRUCTURE_CONSTANTS} constants"
         )
     f = _anchored_realization(structure, ambient, realization)
-    elements = _shared_elements(ambient, [f.mapping[c] for c in symbols])
+    elements = _shared_elements(_memo(ambient), ambient.size, [f.mapping[c] for c in symbols])
     if elements is None:
         return None
     return _closure_over(structure, f.mapping, ambient, elements)
 
 
 def _shared_elements(
-    ambient: FiniteLattice, images: list[ElementId]
+    entry: list, size: int, images: list[ElementId]
 ) -> tuple[ElementId, ...] | None:
     """Ascending elements of every boolean sublattice through the images, or
-    None when there is no such sublattice."""
-    entry = _memo(ambient)
-    cand = _containing(entry, ambient.size, images)
+    None when there is no such sublattice; ``entry`` is the ambient's memo
+    entry and ``size`` its element count."""
+    cand = _containing(entry, size, images)
     if not cand:
         return None
     # Shared elements lie in the first candidate, the smallest one; each is
     # shared iff its bits cover the candidates'.
     subs, bits = entry
     first = subs[(cand & -cand).bit_length() - 1]
-    return tuple(e for e in first.elements if bits[e] & cand == cand)
+    return tuple([e for e in first.elements if bits[e] & cand == cand])
 
 
 def _closure_over(
@@ -739,9 +761,8 @@ def _closure_over(
 ) -> ClosureResult:
     """The closure on the shared elements: existing names under the
     mapping, fresh ones for the rest, and every statement among them."""
-    name_of: dict[ElementId, str] = {}
-    for c in structure.constants:
-        name_of[mapping[c]] = c
+    consts = structure.constants
+    name_of: dict[ElementId, str] = dict(zip(map(mapping.__getitem__, consts), consts))
     fresh: list[str] = []
     serial = 0
     for e in elements:
@@ -762,16 +783,21 @@ def _closure_over(
 def _statements_among(elements, name_of: dict[ElementId, str], lat: FiniteLattice):
     """Every statement among the elements, each element named by ``name_of``:
     its height, and per pair their join, their meet and, when the meet is the
-    bottom, their disjointness."""
-    for e in elements:
-        yield Statement.height_is(name_of[e], lat.height(e))
-    for x, y in itertools.combinations(elements, 2):
-        a, b = name_of[x], name_of[y]
-        yield Statement.join_eq(a, b, name_of[lat.join(x, y)])
-        m = lat.meet(x, y)
-        yield Statement.meet_eq(a, b, name_of[m])
-        if m == lat.bottom:
-            yield Statement.disjoint(a, b)
+    bottom, their disjointness.  Table entries are read as Python ints and
+    each statement is made as its tuple, the pair's names in sorted order."""
+    join, meet, height = lat.join_table.item, lat.meet_table.item, lat.heights.item
+    bottom = lat.bottom
+    names = [name_of[e] for e in elements]
+    for a, e in zip(names, elements):
+        yield _new(Statement, (_HEIGHT_IS, (a,), height(e)))
+    for i, (a, x) in enumerate(zip(names, elements), 1):
+        for b, y in zip(names[i:], elements[i:]):
+            pair = (a, b) if a <= b else (b, a)
+            m = meet(x, y)
+            yield _new(Statement, (_JOIN_EQ, (*pair, name_of[join(x, y)]), -1))
+            yield _new(Statement, (_MEET_EQ, (*pair, name_of[m]), -1))
+            if m == bottom:
+                yield _new(Statement, (_DISJOINT, pair, -1))
 
 
 def apply_closure(
@@ -896,7 +922,7 @@ Stage = tuple[str, bool, str]
 
 def _split_witness_exists(lat: FiniteLattice, e: ElementId, hb: int, hc: int) -> bool:
     hs = lat.heights
-    for x in np.flatnonzero(hs == hb):
+    for x in lat.at_height(hb):
         hits = (
             (hs == hc)
             & (lat.join_table[x] == e)
@@ -942,10 +968,11 @@ def _all_closures_realizable(structure, lat, realization) -> tuple[bool, str]:
     base = realization.mapping
     base_ok = satisfies(structure, lat, base)
     taken = {base[c] for c in symbols}
+    entry = _memo(lat)
     checked = 0
     seen: set[tuple[ElementId, ...]] = set()
     for group in groups:
-        elements = _shared_elements(lat, [base[c] for c in group])
+        elements = _shared_elements(entry, lat.size, [base[c] for c in group])
         if elements is None:
             continue
         checked += 1

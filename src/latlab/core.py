@@ -2,7 +2,8 @@
 
 A :class:`FiniteLattice` stores element labels, the full ``leq`` relation as a
 boolean matrix, the global bottom and top, and, once first needed, its
-element heights, cover matrix and total meet/join tables.
+element heights, the elements of each height, cover matrix and total
+meet/join tables.
 Elements are addressed by index (``ElementId``); labels exist for rendering.
 Instances are immutable after construction: all arrays are marked read-only.
 
@@ -191,6 +192,7 @@ class FiniteLattice:
                 self._given_tables.append(attr)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._tables_match_order: bool | None = None
+        self._at_height: dict[int, tuple[ElementId, ...]] = {}
 
     def __repr__(self):
         return f"FiniteLattice({self.name!r}, size={self.size})"
@@ -234,9 +236,17 @@ class FiniteLattice:
         """Length of the longest chain from bottom to x."""
         return int(self.heights[x])
 
+    def at_height(self, h: int) -> tuple[ElementId, ...]:
+        """Ascending elements of height h, found on the first request for h
+        and shared by every later one."""
+        found = self._at_height.get(h)
+        if found is None:
+            found = self._at_height[h] = tuple(np.flatnonzero(self.heights == h).tolist())
+        return found
+
     def atoms(self) -> tuple[ElementId, ...]:
         """Elements whose only strict lower bound is bottom."""
-        return tuple(int(a) for a in np.flatnonzero(self.heights == 1))
+        return self.at_height(1)
 
     def join_all(self, xs) -> ElementId:
         out = self.bottom

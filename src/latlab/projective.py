@@ -40,8 +40,7 @@ def geometry_view(lat: FiniteLattice) -> GeometryView:
             f"{int(h[x])} -> {int(h[y])}",
             witness=(x, y),
         )
-    by_height = lambda k: tuple(int(e) for e in np.flatnonzero(h == k))
-    return GeometryView(lat, by_height(1), by_height(2), by_height(3))
+    return GeometryView(lat, lat.at_height(1), lat.at_height(2), lat.at_height(3))
 
 
 def check_p1(view: GeometryView) -> LawReport:

@@ -5,9 +5,9 @@ the raw leq relation, recursive chain lengths, subset enumeration over raw
 vectors, and all-assignments realization search.  Nothing uses the
 package's precomputed tables, so agreement is meaningful.  The exceptions
 are the last three sections.  The construction-engine scans read the
-lattice's meet/join tables and check the package's indexes, memo, pruning
-and incremental growth and re-checks against the unindexed, uncached,
-whole-structure forms.  The bound-table and law scans are the full O(n^3)
+lattice's meet/join tables and check the package's indexes, memo, pruning,
+statement building and incremental growth and re-checks against the
+unindexed, uncached, one-at-a-time, whole-structure forms.  The bound-table and law scans are the full O(n^3)
 forms that the package's cover recursion and theorem-backed deciders
 replaced; they read whatever tables and order a lattice carries, forged or
 not, and are the reference those fast paths must match exactly.  The
@@ -550,6 +550,24 @@ def scan_satisfies(structure, lat, mapping):
         if not ok:
             return False
     return True
+
+
+def statements_one_by_one(elements, name_of, lat):
+    """``construction._statements_among`` before it built statements from
+    table rows: per element its height, and per pair one ``Statement``
+    constructor call each for the join, the meet and, when the meet is the
+    bottom, the disjointness, every entry read by ``lat.join``/``lat.meet``."""
+    from latlab.construction import Statement
+
+    for e in elements:
+        yield Statement.height_is(name_of[e], lat.height(e))
+    for x, y in itertools.combinations(elements, 2):
+        a, b = name_of[x], name_of[y]
+        yield Statement.join_eq(a, b, name_of[lat.join(x, y)])
+        m = lat.meet(x, y)
+        yield Statement.meet_eq(a, b, name_of[m])
+        if m == lat.bottom:
+            yield Statement.disjoint(a, b)
 
 
 def whole_structure_closures_realizable(structure, lat, realization):

@@ -64,9 +64,10 @@ from oracles import (
     scan_boolean_sublattices,
     scan_height_of,
     scan_split_of,
+    statements_one_by_one,
     whole_structure_closures_realizable,
 )
-from test_deciders import bounded_posets, dm_completions
+from test_deciders import bounded_posets, dm_completions, downset_lattices
 
 
 def three_leaf_tree():
@@ -268,11 +269,159 @@ def test_pinned_search():
     line = next(e for e in range(fano.size) if fano.height(e) == 2)
     r = find_realization(probe, fano, pin={"l": line})
     assert r is not None and r.mapping["l"] == line
-    with pytest.raises(UnknownConstant):
-        find_realization(probe, fano, pin={"bogus": 1})
+    for pin in ({"bogus": 1}, {"x": 1, "q1": 2}, {"pl": 14}):
+        with pytest.raises(UnknownConstant):
+            find_realization(probe, fano, pin=pin)
     t = three_leaf_tree()
     b3 = boolean_lattice(3)
     assert find_realization(t, b3, pin={"c1": b3.top}) is None
+
+
+def _free_join_structure():
+    """Two atoms and an undeclared-height constant named as their join."""
+    return atom_pair_structure(3).extend(("z",), (Statement.join_eq("x", "y", "z"),))
+
+
+def _m3_top_first():
+    """M3 with the top at index 0, so index -1 names an atom, not the top."""
+    return build_lattice(
+        ["1", "0", "a", "b", "c"], [(1, 2), (1, 3), (1, 4), (2, 0), (3, 0), (4, 0)]
+    )
+
+
+def test_pins_outside_the_elements_match_nothing():
+    m3 = _m3_top_first()
+    # Built without extend, so no "0 join z = z" rejects a wrapped index.
+    bare = construction.PartialStructure(
+        ("0", "1", "z"), frozenset({Statement.height_is("z", 1)}), depth_bound=2
+    )
+    for structure, c in ((triple_split_structure(), "b1'"), (bare, "z")):
+        assert find_realization(structure, m3, pin={c: 4}).mapping[c] == 4
+        for e in (-1, -3, 5):
+            assert find_realization(structure, m3, pin={c: e}) is None, (c, e)
+    fano = subspace_lattice(3, 2)
+    for structure, names in (
+        (atom_pair_structure(3), ("x",)),
+        (_free_join_structure(), ("z",)),
+        (line_probe_structure(3), ("0", "1")),
+    ):
+        assert find_realization(structure, fano) is not None
+        for c in names:
+            for e in (-1, -fano.size, fano.size, fano.size + 5):
+                assert find_realization(structure, fano, pin={c: e}) is None, (c, e)
+
+
+def test_pins_at_the_wrong_height_or_off_a_bound_match_nothing():
+    fano = subspace_lattice(3, 2)
+    line = next(e for e in range(fano.size) if fano.height(e) == 2)
+    point = fano.atoms()[0]
+    assert find_realization(atom_pair_structure(3), fano, pin={"x": line}) is None
+    assert find_realization(line_probe_structure(3), fano, pin={"l": point}) is None
+    for bound, off in (("0", point), ("0", fano.top), ("1", line), ("1", fano.bottom)):
+        assert find_realization(atom_pair_structure(3), fano, pin={bound: off}) is None
+    on_bounds = find_realization(
+        atom_pair_structure(3), fano, pin={"0": fano.bottom, "1": fano.top}
+    )
+    assert on_bounds.mapping == find_realization(atom_pair_structure(3), fano).mapping
+
+
+def test_pins_on_a_constant_without_a_declared_height():
+    fano = subspace_lattice(3, 2)
+    s = _free_join_structure()
+    assert s.height_of("z") is None
+    x, y = fano.atoms()[:2]
+    line = fano.join(x, y)
+    r = find_realization(s, fano, pin={"z": line})
+    assert r is not None and r.mapping["z"] == line
+    assert fano.join(r.mapping["x"], r.mapping["y"]) == line
+    # z must be the join of two atoms: a point, the top or the bottom is not.
+    for e in (x, fano.top, fano.bottom):
+        assert find_realization(s, fano, pin={"z": e}) is None, e
+
+
+_PIN_CASES = {
+    "triple_M3": (triple_split_structure, diamond_m3),
+    "triple_M3_top_first": (triple_split_structure, _m3_top_first),
+    "triple_S_2_3": (triple_split_structure, functools.partial(subspace_lattice, 2, 3)),
+    "tree_B_2": (functools.partial(build_tree, 1), functools.partial(boolean_lattice, 2)),
+    "pair_B_3": (functools.partial(atom_pair_structure, 3), functools.partial(boolean_lattice, 3)),
+    "free_B_3": (_free_join_structure, functools.partial(boolean_lattice, 3)),
+    "three_leaf_B_3": (three_leaf_tree, functools.partial(boolean_lattice, 3)),
+    "probe_fano": (functools.partial(line_probe_structure, 3),
+                   functools.partial(subspace_lattice, 3, 2)),
+}
+
+
+@functools.cache
+def _pin_case(name):
+    make_structure, make_lat = _PIN_CASES[name]
+    structure, lat = make_structure(), make_lat()
+    return structure, lat, all_realizations(structure, lat)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_PIN_CASES)), st.data())
+def test_random_pins_match_the_oracle(name, data):
+    structure, lat, every = _pin_case(name)
+    names = data.draw(st.lists(st.sampled_from(structure.constants), unique=True, max_size=3))
+    pin = {c: data.draw(st.integers(-2, lat.size + 1)) for c in names}
+    pos = {c: i for i, c in enumerate(structure.constants)}
+    hits = [r for r in every if all(r[pos[c]] == e for c, e in pin.items())]
+    got = find_realization(structure, lat, pin=pin)
+    if not hits:
+        assert got is None
+    else:
+        assert tuple(got.mapping[c] for c in structure.constants) == hits[0]
+        assert all(type(e) is int for e in got.mapping.values())
+
+
+def _least(structure, lat, pin=None):
+    r = find_realization(structure, lat, pin=pin)
+    return None if r is None else r.mapping
+
+
+def test_children_search_with_their_own_statements():
+    b3 = boolean_lattice(3)
+    parent = atom_pair_structure(3)
+    assert _least(parent, b3) == {"0": 0, "1": 7, "x": 1, "y": 2}
+    # The child's join statement is searched, although the parent's plan
+    # was made first: x join y must now be an element of height 3.
+    child = parent.extend((), (Statement.join_eq("x", "y", "1"),))
+    assert _least(child, b3) is None
+    assert min(all_realizations(child, b3), default=None) is None
+    grown = parent.extend(("l",), (Statement.join_eq("x", "y", "l"),))
+    want = min(all_realizations(grown, b3))
+    assert tuple(_least(grown, b3)[c] for c in grown.constants) == want
+    renamed = parent.renamed({"x": "u"})
+    assert _least(renamed, b3) == {"0": 0, "1": 7, "u": 1, "y": 2}
+    assert _least(renamed, b3, pin={"u": 4}) == {"0": 0, "1": 7, "u": 4, "y": 1}
+    with pytest.raises(UnknownConstant):
+        find_realization(renamed, b3, pin={"x": 4})
+
+
+def test_one_structure_searched_in_two_lattices_answers_as_fresh_objects():
+    shared = three_leaf_tree()
+    for make in (functools.partial(boolean_lattice, 3),
+                 functools.partial(subspace_lattice, 3, 2),
+                 functools.partial(boolean_lattice, 3)):
+        for pin in (None, {"c1": 4}, {"b2": 1}, {"c1": 6, "b2": 1}):
+            assert _least(shared, make(), pin) == _least(three_leaf_tree(), make(), pin), pin
+
+
+def test_pinned_calls_leave_the_shared_domains_intact():
+    fano = subspace_lattice(3, 2)
+    probe = line_probe_structure(3)
+    first = _least(probe, fano)
+    lines = [e for e in range(fano.size) if fano.height(e) == 2]
+    points = list(fano.atoms())
+    for line in lines + [-1, 0, fano.top, points[0], 99]:
+        got = _least(probe, fano, pin={"l": line})
+        assert got == _least(line_probe_structure(3), subspace_lattice(3, 2), {"l": line})
+    for x, y in itertools.permutations(points[:4], 2):
+        got = _least(probe, fano, pin={"x": x, "y": y})
+        assert got == _least(line_probe_structure(3), subspace_lattice(3, 2), {"x": x, "y": y})
+    assert _least(probe, fano) == first
+    assert _least(atom_pair_structure(3), fano) == {"0": 0, "1": fano.top, "x": 1, "y": 2}
 
 
 @pytest.mark.parametrize(
@@ -415,6 +564,45 @@ def test_closure_of_an_atom_pair_stops_at_their_line(fano):
     assert clo.new_constants == ("q1",)
     assert sorted(int(fano.heights[e]) for e in clo.elements) == [0, 1, 1, 2, 3]
     assert fano.join(1, 2) in clo.elements
+
+
+_STATEMENT_LATTICES = {
+    **{f"B_{n}": functools.partial(boolean_lattice, n) for n in range(1, 6)},
+    **{f"S_2_{q}": functools.partial(subspace_lattice, 2, q) for q in (2, 3, 5, 7)},
+    "S_3_2": functools.partial(subspace_lattice, 3, 2),
+}
+
+
+@functools.cache
+def _statement_lattice(name):
+    return _STATEMENT_LATTICES[name]()
+
+
+def _assert_statements_match_the_oracle(data, lat):
+    elements = data.draw(st.lists(st.integers(0, lat.size - 1), unique=True, max_size=24))
+    if data.draw(st.booleans()):
+        elements.sort()
+    # Names whose string order differs from element order, with the package's
+    # own shapes among them ("0", "p10" before "p2", primes, fresh "q"s).
+    pool = ["0", "1"] + [f"{'pqbc'[i % 4]}{i}" + "'" * (i % 3) for i in range(lat.size)]
+    names = data.draw(st.permutations(pool))
+    name_of = dict(zip(range(lat.size), names))
+    got = frozenset(construction._statements_among(elements, name_of, lat))
+    assert got == frozenset(statements_one_by_one(elements, name_of, lat))
+    assert all(type(st.value) is int for st in got)
+    assert all(type(st) is Statement and type(st.operands) is tuple for st in got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_STATEMENT_LATTICES)), st.data())
+def test_statements_among_match_the_one_by_one_builder(name, data):
+    _assert_statements_match_the_oracle(data, _statement_lattice(name))
+
+
+@settings(max_examples=25, deadline=None)
+@given(downset_lattices(), st.data())
+def test_statements_among_match_the_one_by_one_builder_on_downset_lattices(relation, data):
+    _assert_statements_match_the_oracle(data, build_lattice(*relation))
 
 
 def test_derive_independent_atoms_spans_the_image():

@@ -145,7 +145,8 @@ def downset_order(m, below, chain=0):
     with ``chain`` more elements in a chain above all of it: the random
     part's down-sets, then a chain of ``chain`` elements on top."""
     sets = _downsets(m, below) + [(1 << (m + i)) - 1 for i in range(1, chain + 1)]
-    masks = np.array(sets)
+    # Python ints: with the chain, a mask can take 64 bits or more.
+    masks = np.array(sets, dtype=object)
     size = np.array([bin(s).count("1") for s in sets])
     covers = (masks[:, None] & ~masks[None, :] == 0) & (size[None, :] == size[:, None] + 1)
     return [f"d{s:x}" for s in sets], np.argwhere(covers).tolist()
