@@ -17,19 +17,22 @@ in one uint64, bits numbered along a linear extension: the least upper
 bound of x and y, when it exists, is the lowest set bit z of
 up(x) & up(y), and it exists iff up(z) == up(x) & up(y) (the bit-vector
 encoding of Ait-Kaci, Boyer, Lincoln & Nasr, "Efficient implementation of
-lattice operations", TOPLAS 1989).  Larger orders whose k elements of exactly
-one upper cover (the meet-irreducibles, in a lattice) satisfy 2^k <= n^2
-key each element by the bits of those above it: in a lattice every element
-is the meet of the meet-irreducibles above it (Davey & Priestley,
-"Introduction to Lattices and Order", ch. 2), so the join of x and y is the
-element whose key is key[x] & key[y], read from a table of 2^k entries.
-The rest take the recursion over upper covers.  Generators elsewhere in
-the package reuse :class:`FiniteLattice` directly, seeding closed-form
-heights and covers, and closed-form tables as forms evaluated on first read;
-any other lattice derives heights and covers from ``leq`` with the same
-pass, on first use.
+lattice operations", TOPLAS 1989).  Larger orders key each element by
+the bits of the k elements of exactly one upper cover (the
+meet-irreducibles, in a lattice) above it, in ceil(k/64) words: in a
+lattice every element is the meet of the meet-irreducibles above it (Davey
+& Priestley, "Introduction to Lattices and Order", ch. 2), so the join of
+x and y is the element whose key is key[x] & key[y], read from a table of
+2^k entries when 2^k <= n^2 and otherwise from a hashed table of about n^2
+slots, each hit confirmed against the full key.  They take this route
+when their n keys take no more words than they have cover pairs; the
+rest, chains and M_n among them, take the recursion over upper covers.
+Generators elsewhere in the package reuse :class:`FiniteLattice` directly,
+seeding closed-form heights and covers, and closed-form tables as forms
+evaluated on first read; any other lattice derives heights and covers from
+``leq`` with the same pass, on first use.
 The law deciders' premise, :meth:`FiniteLattice.tables_match_order`,
-recomputes the order and every table passed in or seeded with the same two
+recomputes the order and every table passed in or seeded with the same
 algorithms and compares.
 """
 
@@ -362,13 +365,27 @@ class FiniteLattice:
         return self._index[label]
 
 
-# Scratch budget of the cover recursion and the key kernel, in table entries
-# per step; a step holds at least one element, so scratch stays within
-# max(budget, n^2).
+# Scratch budget of the cover recursion, in table entries per step; a step
+# holds at least one element, so scratch stays within max(budget, n^2).
 _STEP_ENTRIES = 1 << 22
+
+# Scratch budget of the key kernel, in bytes of the keys' common words per
+# step; a step holds at least one element.
+_KEY_STEP_BYTES = 1 << 22
 
 # Orders of at most this many elements hold each up-set in one uint64.
 _WORD_BITS = 64
+
+# Odd 64-bit multipliers of the key kernel's hash, tried in this order (the
+# constants of splitmix64, MurmurHash3's finalizer and xxHash64).
+_MULTIPLIERS = (
+    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0xFF51AFD7ED558CCD,
+    0xC4CEB9FE1A85EC53, 0x9E3779B185EBCA87, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
+    0x85EBCA77C2B2AE63, 0x27D4EB2F165667C5,
+)
+
+# What :func:`_key_lubs` returns when no multiplier separates the keys.
+_UNSEPARATED = object()
 
 
 def _least_upper_bounds(leq: np.ndarray, covers: np.ndarray, rank: np.ndarray) -> np.ndarray | None:
@@ -377,18 +394,25 @@ def _least_upper_bounds(leq: np.ndarray, covers: np.ndarray, rank: np.ndarray) -
 
     ``rank`` must strictly increase along the order.  Orders of at most 64
     elements take one machine word per up-set (:func:`_word_lubs`).  Larger
-    orders with k elements of exactly one upper cover take one key of k bits
-    per element (:func:`_key_lubs`) when its lookup table of 2^k entries
-    is no larger than the n^2 table it fills; the rest take the recursion
-    over upper covers (:func:`_cover_lubs`).  All three give the same table,
-    and all three give None on the same orders.
+    orders with k elements of exactly one upper cover take one key of
+    ceil(k/64) words per element (:func:`_key_lubs`) when those words, n
+    times over, are no more than the cover pairs: the key kernel does about
+    n^2 ceil(k/64) word operations, and the recursion over upper covers
+    (:func:`_cover_lubs`) about one row read per cover.  The rest, and any
+    order whose keys no listed hash multiplier separates, take the
+    recursion.  All three give the same table, and all three give None on
+    the same orders.
     """
     n = leq.shape[0]
     if n <= _WORD_BITS:
         return _word_lubs(leq, rank)
-    irreducible = np.count_nonzero(covers, axis=1) == 1
-    if 1 << int(np.count_nonzero(irreducible)) <= n * n:
-        return _key_lubs(leq, irreducible)
+    counts = np.count_nonzero(covers, axis=1)
+    irreducible = counts == 1
+    words = -(-int(np.count_nonzero(irreducible)) // _WORD_BITS)
+    if words * n <= int(counts.sum()):
+        lub = _key_lubs(leq, irreducible)
+        if lub is not _UNSEPARATED:
+            return lub
     return _cover_lubs(leq, covers, rank)
 
 
@@ -418,37 +442,89 @@ def _word_lubs(leq: np.ndarray, rank: np.ndarray) -> np.ndarray | None:
     return lub
 
 
-def _key_lubs(leq: np.ndarray, irreducible: np.ndarray) -> np.ndarray | None:
-    """:func:`_least_upper_bounds` from one key per element: bit i of
-    ``key[x]`` says x <= the i-th element marked ``irreducible``, those with
-    exactly one upper cover.
+def _key_lubs(leq: np.ndarray, irreducible: np.ndarray) -> np.ndarray | None | object:
+    """:func:`_least_upper_bounds` from one key per element, or
+    ``_UNSEPARATED`` when no multiplier of ``_MULTIPLIERS`` puts the keys in
+    distinct slots.  Bit i of ``key[x]`` says x <= the i-th element marked
+    ``irreducible``, those with exactly one upper cover; a key of k bits
+    takes ceil(k/64) uint64 words.
 
     In any order x <= y gives key[y] within key[x].  When every pair has a
     least upper bound, the converse holds too, since every element is the
     meet of the meet-irreducibles above it (Davey & Priestley, "Introduction
     to Lattices and Order", ch. 2), and key[x join y] = key[x] & key[y].  So
-    the kernel tests the converse over all pairs, which also makes the keys
-    distinct, and looks each key[x] & key[y] up in a dense table of 2^k
-    entries.  If the converse holds and every lookup finds an element z,
-    then z is an upper bound of x and y, and every upper bound w has key[w]
-    within key[z], so lies above z: the table is the join table.  If either
-    test fails, some pair has no least upper bound.
+    the kernel tests the converse over all pairs, word by word, which also
+    makes the keys distinct, and looks each key[x] & key[y] up.  When
+    2^k <= n^2 the lookup is a dense table of 2^k entries.  Otherwise it is
+    a table of 2^m slots, m the bit length of n^2 - 1, addressed by a
+    multiply-shift hash of the key's words (:func:`_key_slots`); every hit
+    is confirmed against the found element's full key, so the hash changes
+    only speed.  If the converse holds and every lookup finds an element z
+    with that key, then z is an upper bound of x and y, and every upper
+    bound w has key[w] within key[z], so lies above z: the table is the
+    join table.  If either test fails, or two keys are equal, some pair has
+    no least upper bound.
     """
     n = leq.shape[0]
     k = int(np.count_nonzero(irreducible))
-    key = leq[:, irreducible].astype(np.intp) @ (np.intp(1) << np.arange(k, dtype=np.intp))
-    element = np.full(1 << k, -1, dtype=np.int32)
-    element[key] = np.arange(n, dtype=np.int32)
+    words = max(1, -(-k // _WORD_BITS))
+    bits = np.zeros((n, words * _WORD_BITS), dtype=bool)
+    bits[:, :k] = leq[:, irreducible]
+    # [w, x]: word w of key[x], so that each word is one contiguous row.
+    key = np.ascontiguousarray(np.packbits(bits, axis=1, bitorder="little").view("<u8").T)
+    hashed = 1 << k > n * n
+    if hashed:
+        m = (n * n - 1).bit_length()
+        for mult in _MULTIPLIERS:
+            slots = functools.partial(_key_slots, mult=np.uint64(mult), shift=np.uint64(_WORD_BITS - m))
+            ranked = np.sort(slots(key))
+            if (ranked[1:] != ranked[:-1]).all():
+                break
+        else:
+            # Equal keys share a slot under every multiplier, and make the
+            # order no lattice.  (np.unique would import numpy.ma.)
+            ranked = key[:, np.lexsort(key)]
+            return None if (ranked[:, 1:] == ranked[:, :-1]).all(axis=0).any() else _UNSEPARATED
+    else:
+        m = k
+        slots = lambda words: words[0].view(np.intp)
+    element = np.full(1 << m, -1, dtype=np.int32)
+    element[slots(key)] = np.arange(n, dtype=np.int32)
     lub = np.empty((n, n), dtype=np.int32)
-    step = max(1, _STEP_ENTRIES // n)
+    step = max(1, _KEY_STEP_BYTES // (8 * words * n))
     for a in range(0, n, step):
         b = min(a + step, n)
-        if not np.array_equal(key[None, :] & ~key[a:b, None] == 0, leq[a:b]):
+        common = key[:, a:b, None] & key[:, None, :]  # [w, x - a, y]
+        within = common[0] == key[0]
+        for w in range(1, words):
+            within &= common[w] == key[w]
+        if not np.array_equal(within, leq[a:b]):
             return None
-        element.take(key[a:b, None] & key[None, :], out=lub[a:b])
-        if lub[a:b].min() < 0:
+        found = lub[a:b]
+        element.take(slots(common), out=found)
+        if found.min() < 0:
+            return None
+        if hashed and not all(np.array_equal(key[w].take(found), common[w]) for w in range(words)):
             return None
     return lub
+
+
+def _key_slots(words: np.ndarray, mult: np.uint64, shift: np.uint64) -> np.ndarray:
+    """Hash slots of the keys whose w-th words are ``words[w]``.
+
+    Each word is xored in, the high half folded onto the low half, and the
+    result multiplied by ``mult`` modulo 2^64; the slot is the top
+    64 - ``shift`` bits (multiply-shift hashing: Dietzfelbinger, Hagerup,
+    Katajainen & Penttonen, J. Algorithms 25, 1997).  The fold lets every
+    bit of a word reach the top bits of the product.
+    """
+    h = np.zeros_like(words[0])
+    for w in words:
+        h ^= w
+        h ^= h >> np.uint64(32)
+        h *= mult
+    h >>= shift
+    return h.view(np.intp)
 
 
 def _cover_lubs(leq: np.ndarray, covers: np.ndarray, rank: np.ndarray) -> np.ndarray | None:

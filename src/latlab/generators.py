@@ -7,9 +7,10 @@ heights (subset size, dimension, index) and covers (all three are graded,
 so x is covered by y iff x <= y and y is one rank higher).  Boolean and
 chain tables are closed forms too (bitwise and/or, min/max), seeded as
 forms and evaluated on first read, so writing a document never builds
-them; the premise still re-derives and compares both.  Subspace spans and
-containment are array products, and subspace tables come from core's
-bound derivation over that order.  Only M3 and N5 take the validating path
+them; the premise still re-derives and compares both.  Subspace spans are
+integer array products, containment is a gather of each basis row's
+membership bits, and subspace tables come from core's bound derivation
+over that order.  Only M3 and N5 take the validating path
 through build_lattice.  Every generator checks its size before it builds
 anything.
 """
@@ -132,15 +133,21 @@ def subspace_lattice(dimension: int, field_order: int) -> FiniteLattice:
 
     # Each vector of F_q^n is its base-q number; the span of a k-row basis
     # is every coefficient row of F_q^k times the basis, reduced mod q.
+    # held[v, x] says subspace x holds vector v, and basis_rows[x] lists the
+    # numbers of x's basis rows, the last one repeated to n, or vector 0.
     place = q ** np.arange(n - 1, -1, -1)
-    member = np.zeros((size, q**n), dtype=np.float32)
+    held = np.zeros((q**n, size), dtype=bool)
+    basis_rows = np.zeros((size, n), dtype=int)
     bases = []
     for k in range(n + 1):
         block = sorted(_rref_bases(n, q, k))
         coeffs = np.array(list(itertools.product(range(q), repeat=k)), dtype=int)
         rows = np.array(block, dtype=int).reshape(len(block), k, n)
         spans = coeffs.reshape(q**k, k) @ rows % q @ place
-        np.put_along_axis(member[len(bases) : len(bases) + len(block)], spans, 1.0, axis=1)
+        ids = np.arange(len(bases), len(bases) + len(block))
+        held[spans, ids[:, None]] = True
+        if k:
+            basis_rows[ids] = (rows @ place)[:, np.minimum(np.arange(n), k - 1)]
         bases.extend(block)
 
     labels = []
@@ -150,9 +157,11 @@ def subspace_lattice(dimension: int, field_order: int) -> FiniteLattice:
         else:
             labels.append("<" + ",".join(_vector_label(r, q) for r in b) + ">")
 
-    # containment via one bitset matmul over the q^n vectors
-    missing = member @ (1.0 - member).T  # [x, y] = #(vectors in x but not y)
-    leq = missing < 0.5
+    # x <= y iff y holds each basis row of x, since a subspace that holds a
+    # basis holds its span: one gather of size x size bits per basis row.
+    leq = held[basis_rows[:, 0]]
+    for j in range(1, n):
+        leq &= held[basis_rows[:, j]]
 
     dims = np.array([len(b) for b in bases], dtype=np.int32)
     lat = FiniteLattice(labels, leq, 0, size - 1, name=f"subspaces_{n}_{q}")

@@ -110,7 +110,17 @@ def is_independent(lat: FiniteLattice, qs) -> bool:
 
 def check_spanning(lat: FiniteLattice, n: int) -> LawReport:
     """Some n points join to top and no n-1 points do; for n = 0 there is no
-    smaller set to rule out."""
+    smaller set to rule out.
+
+    The joins of at most j points form R_j: R_0 = {bottom} and R_{j+1} =
+    {r join p : r in R_j, p a point}.  Given at least j points, some j of
+    them join to top iff top is in R_j, since further points added to a
+    spanning set keep its join at top.  R_j holds R_{j-1} for j >= 2 (an
+    element that is a join of points is its own join with one of them), so
+    a breadth-first pass joins each element with the points at most once.
+    Only a failure that names the lexicographically first n-1 points
+    already spanning scans the point sets.
+    """
     if n < 0:
         raise ValueError(f"spanning needs n >= 0, got n={n}")
     atomic = is_atomic(lat)
@@ -118,22 +128,21 @@ def check_spanning(lat: FiniteLattice, n: int) -> LawReport:
         raise NotAtomic("lattice is not atomic", witness=atomic.witness)
     atoms = lat.atoms()
 
-    def some_subset_spans(k: int):
-        if k == 0:
-            return (() if lat.top == lat.bottom else None)
-        for combo in itertools.combinations(atoms, k):
-            if lat.join_all(combo) == lat.top:
-                return combo
-        return None
-
-    spanning = some_subset_spans(n)
-    if spanning is None:
+    reached = np.zeros(lat.size, dtype=bool)
+    reached[lat.bottom] = True
+    fresh = np.array([lat.bottom])
+    fewest = 0  # with top reached, the fewest points that span
+    while not reached[lat.top] and fewest < n and fresh.size:
+        joins = np.zeros(lat.size, dtype=bool)
+        joins[lat.join_table[np.ix_(fresh, atoms)]] = True
+        fresh = np.flatnonzero(joins & ~reached)
+        reached |= joins
+        fewest += 1
+    if not reached[lat.top] or len(atoms) < n:
         return LawReport(Law.SPANNING, False, None, f"no {n}-point set spans")
-    smaller = some_subset_spans(n - 1) if n > 0 else None
-    if smaller is not None:
-        return LawReport(
-            Law.SPANNING, False, tuple(smaller), f"{n - 1} points already span"
-        )
+    if fewest < n:
+        smaller = next(c for c in itertools.combinations(atoms, n - 1) if lat.join_all(c) == lat.top)
+        return LawReport(Law.SPANNING, False, smaller, f"{n - 1} points already span")
     return LawReport(Law.SPANNING, True)
 
 

@@ -18,7 +18,8 @@ that ``upper_neighbors`` and ``LatticeDocument.to_json`` replaced.  The last
 section freezes the premise check with its own lub verifier, and
 ``saturate_splits`` as a rescan of every constant after each split.  The
 pair-loop section freezes P1, P2 and atoms-only perspectivity as the loops
-over element pairs that the row scans replaced.
+over element pairs that the row scans replaced, and ``check_spanning`` as
+the scan over point sets that the frontier of joins replaced.
 """
 
 import itertools
@@ -944,3 +945,31 @@ def loop_atoms_perspective(lat):
             if not (comp[x] & comp[y]).any():
                 return LawReport(Law.PERSPECTIVE, False, (x, y), "atoms")
     return LawReport(Law.PERSPECTIVE, True, detail="atoms")
+
+
+def combination_spanning(lat, n):
+    """Some n points join to top and no n-1 points do: the first spanning
+    set of each size, scanned in lexicographic order with ``join_all``."""
+    from latlab.errors import NotAtomic
+    from latlab.props import Law, LawReport, is_atomic
+
+    atomic = is_atomic(lat)
+    if not atomic.holds:
+        raise NotAtomic("lattice is not atomic", witness=atomic.witness)
+    atoms = lat.atoms()
+
+    def some_subset_spans(k):
+        if k == 0:
+            return (() if lat.top == lat.bottom else None)
+        for combo in itertools.combinations(atoms, k):
+            if lat.join_all(combo) == lat.top:
+                return combo
+        return None
+
+    spanning = some_subset_spans(n)
+    if spanning is None:
+        return LawReport(Law.SPANNING, False, None, f"no {n}-point set spans")
+    smaller = some_subset_spans(n - 1) if n > 0 else None
+    if smaller is not None:
+        return LawReport(Law.SPANNING, False, tuple(smaller), f"{n - 1} points already span")
+    return LawReport(Law.SPANNING, True)

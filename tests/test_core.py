@@ -286,9 +286,8 @@ def _assert_bound_kernels_agree(labels, pairs):
     """Over the order that ``pairs`` generate, the one-word kernel
     (n <= 64), the key kernel, the cover recursion and the frozen scan give
     equal join and meet tables, or all of them reject the order.  The key
-    kernel runs at any size whenever its lookup table has at most
-    max(n^2, 2^10) entries: the dispatch's bound, widened for the small
-    orders that the dispatch sends to the word kernel."""
+    kernel runs at every size and key width, not just where the dispatch
+    sends it."""
     leq, covers, heights = core._order(_relation(len(labels), pairs), labels)
     try:
         meet, join = scan_bound_tables(leq, heights, labels)
@@ -297,12 +296,10 @@ def _assert_bound_kernels_agree(labels, pairs):
     n = leq.shape[0]
     dual = (leq.T, covers.T, heights.max() - heights)
     for want, (order, cov, rank) in ((join, (leq, covers, heights)), (meet, dual)):
-        got = {"cover": core._cover_lubs(order, cov, rank)}
+        got = {"cover": core._cover_lubs(order, cov, rank),
+               "key": core._key_lubs(order, np.count_nonzero(cov, axis=1) == 1)}
         if n <= 64:
             got["word"] = core._word_lubs(order, rank)
-        irreducible = np.count_nonzero(cov, axis=1) == 1
-        if 1 << int(irreducible.sum()) <= max(n * n, 1 << 10):
-            got["key"] = core._key_lubs(order, irreducible)
         for kernel, table in got.items():
             if want is None:
                 assert table is None, kernel
@@ -374,6 +371,25 @@ def _times_b4(labels, pairs):
     return product, covers
 
 
+def _widened(labels, pairs, extra):
+    """The order with ``extra`` more atoms, each covered by the top only:
+    ``extra`` more meet-irreducibles.  Element 0 is the bottom and the last
+    element the top."""
+    n = len(labels)
+    top = n - 1 + extra
+    relabel = lambda e: top if e == n - 1 else e
+    atoms = range(n - 1, top)
+    return ([*labels[:-1], *(f"e{i}" for i in range(extra)), labels[-1]],
+            [(relabel(a), relabel(b)) for a, b in pairs]
+            + [(0, e) for e in atoms] + [(e, top) for e in atoms])
+
+
+def _m(atoms):
+    """Labels and cover pairs of M_atoms: bottom, the atoms, top."""
+    labels = ["0", *(f"a{i}" for i in range(atoms)), "1"]
+    return labels, [(0, a) for a in range(1, atoms + 1)] + [(a, atoms + 1) for a in range(1, atoms + 1)]
+
+
 def _spy_bound_kernels(monkeypatch):
     routes = []
     for name in ("_word_lubs", "_key_lubs", "_cover_lubs"):
@@ -387,12 +403,16 @@ def _spy_bound_kernels(monkeypatch):
     return routes
 
 
-@pytest.mark.parametrize("order, converse", [(BOWTIE, False), (TWO_TOPS, True)],
-                         ids=["bowtie", "two_tops"])
-def test_key_kernel_rejects_each_non_lattice(monkeypatch, order, converse):
-    labels, pairs = order
+@pytest.mark.parametrize("order, converse, extra",
+                         [(BOWTIE, False, 0), (TWO_TOPS, True, 0), (BOWTIE, False, 70), (TWO_TOPS, True, 70)],
+                         ids=["bowtie", "two_tops", "bowtie_wide", "two_tops_wide"])
+def test_key_kernel_rejects_each_non_lattice(monkeypatch, order, converse, extra):
+    # Widened by 70 atoms, the orders have keys of two words in a hashed
+    # table; the bowtie's a and b keep equal keys.
+    labels, pairs = _widened(*order, extra)
     leq, covers, heights = core._order(_relation(len(labels), pairs), labels)
     irreducible = np.count_nonzero(covers, axis=1) == 1
+    assert (int(irreducible.sum()) > 64) == bool(extra)
     above = leq[:, irreducible]
     # [x, y]: every meet-irreducible above y lies above x.
     within = (above[None, :, :] <= above[:, None, :]).all(axis=2)
@@ -412,17 +432,61 @@ def test_key_kernel_rejects_each_non_lattice(monkeypatch, order, converse):
     assert (str(built.value), built.value.witness) == (str(scanned.value), scanned.value.witness)
 
 
+def test_key_kernel_matches_the_scan_on_hashed_keys():
+    # Keys of 70, 57, 133 and 129 bits, in one to three words.  M_70 and
+    # chain_130 take the recursion in build_lattice, but the kernel gives
+    # the same tables.
+    for lat in (build_lattice(*_m(70)), subspace_lattice(3, 7), subspace_lattice(3, 11), chain(130)):
+        _assert_bound_kernels_agree(lat.labels, lat.upper_neighbors())
+
+
+def test_key_kernel_confirms_every_hashed_hit(monkeypatch):
+    # A hash that sends every key no element has to an occupied slot.  The
+    # kernel hashes the element keys as one row per word, and the pairs'
+    # common keys as one block per word.
+    hashed = core._key_slots
+    occupied = {}
+
+    def crowded(words, mult, shift):
+        slots = hashed(words, mult, shift)
+        if words.ndim == 2:
+            occupied[int(mult)] = slots
+            return slots
+        taken = occupied[int(mult)]
+        return np.where(np.isin(slots, taken), slots, taken[0])
+
+    monkeypatch.setattr(core, "_key_slots", crowded)
+    for labels, pairs in (_widened(*TWO_TOPS, 70), _m(70)):
+        _assert_bound_kernels_agree(labels, pairs)
+
+
+def test_unseparated_keys_take_the_recursion(monkeypatch):
+    # A multiplier of 1 hashes every key of at most 50 bits to slot 0.
+    monkeypatch.setattr(core, "_MULTIPLIERS", (1,))
+    routes = _spy_bound_kernels(monkeypatch)
+    for lat in (subspace_lattice(3, 7), subspace_lattice(4, 2)):
+        routes.clear()
+        table = core._least_upper_bounds(lat.leq, lat.covers, lat.heights)
+        assert routes == ["_key_lubs", "_cover_lubs"], lat.name
+        assert np.array_equal(table, core._cover_lubs(lat.leq, lat.covers, lat.heights)), lat.name
+    # Equal keys need no separating multiplier: the order is no lattice.
+    labels, pairs = _widened(*BOWTIE, 70)
+    leq, covers, _ = core._order(_relation(len(labels), pairs), labels)
+    assert core._key_lubs(leq, np.count_nonzero(covers, axis=1) == 1) is None
+
+
 def test_each_order_takes_one_bound_kernel(monkeypatch):
     # Down-sets of seven elements with 0 < 1: 96 elements, 7 meet-irreducibles.
     downsets = downset_order(7, [0, 1, 0, 0, 0, 0, 0])
     routes = {
         "_word_lubs": [lambda: chain(2), lambda: chain(63), lambda: chain(64),
                        lambda: boolean_lattice(6)],
-        "_key_lubs": [lambda: boolean_lattice(7), lambda: build_lattice(*downsets)],
-        # S(4, 2) has 67 elements but 15 coatoms: a lookup table of 2^15
-        # entries is larger than its 67^2 join table.
-        "_cover_lubs": [lambda: chain(65), lambda: chain(66), lambda: subspace_lattice(3, 7),
-                        lambda: subspace_lattice(4, 3), lambda: subspace_lattice(4, 2)],
+        "_key_lubs": [lambda: boolean_lattice(7), lambda: build_lattice(*downsets),
+                      lambda: subspace_lattice(4, 2), lambda: subspace_lattice(4, 3),
+                      lambda: subspace_lattice(3, 7)],
+        # A chain of n elements has n - 1 covers and n - 1 meet-irreducibles,
+        # M_100 200 covers and 100: n keys of two words are more than the covers.
+        "_cover_lubs": [lambda: chain(65), lambda: chain(66), lambda: build_lattice(*_m(100))],
     }
     taken = _spy_bound_kernels(monkeypatch)
     for kernel, makers in routes.items():

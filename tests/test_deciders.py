@@ -56,6 +56,7 @@ from latlab.limits import element_cap
 
 from oracles import (
     argwhere_cover_pairs,
+    combination_spanning,
     brute_atomic,
     brute_complemented,
     brute_heights,
@@ -666,6 +667,27 @@ def test_third_point_and_spanning_match_order_scans_on_examples(fano, broken_pla
     assert any(isinstance(o, LawReport) and o.holds for o in outcomes)
     assert any(isinstance(o, LawReport) and o.witness for o in outcomes)
     assert any(isinstance(o, tuple) for o in outcomes)
+
+
+@st.composite
+def spanning_cases(draw):
+    """A lattice from a random relation, a random down-set lattice or a
+    small subspace document, and a spanning size n from 0 to its rank + 1."""
+    kind = draw(st.sampled_from(["dm", "downset", "subspace"]))
+    if kind == "subspace":
+        n, q = draw(st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2), (2, 5), (3, 3), (4, 2)]))
+        text = document_from_lattice(subspace_lattice(n, q)).to_json()
+        lat = document_to_lattice(parse_document(text))
+    else:
+        lat = build_lattice(*draw(dm_completions() if kind == "dm" else downset_lattices()))
+    return lat, draw(st.integers(0, lat.height(lat.top) + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spanning_cases())
+def test_spanning_frontier_matches_the_combination_scan(case):
+    lat, n = case
+    assert _law_outcome(check_spanning, lat, n) == _law_outcome(combination_spanning, lat, n)
 
 
 # ----- random lattices through documents --------------------------------------
