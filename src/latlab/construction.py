@@ -66,7 +66,6 @@ from .limits import (
     MAX_SUBSTRUCTURE_CONSTANTS,
     MAX_TREE_DEPTH,
     ambient_cap,
-    realization_cap,
 )
 from .projective import geometry_view, is_independent, verify_bvn_characterization
 from .props import is_modular
@@ -127,6 +126,9 @@ _MEET_EQ = StatementKind.MEET_EQ
 _DISJOINT = StatementKind.DISJOINT
 _HEIGHT_IS = StatementKind.HEIGHT_IS
 
+# The bound constants every structure holds.
+ZERO, ONE = "0", "1"
+
 
 @dataclass(frozen=True)
 class PartialStructure:
@@ -135,8 +137,6 @@ class PartialStructure:
     constants: tuple[str, ...]
     statements: frozenset[Statement]
     depth_bound: int
-    zero: str = "0"
-    one: str = "1"
     counter: int = 0
 
     # ----- queries --------------------------------------------------------
@@ -236,15 +236,13 @@ class PartialStructure:
                     )
             stmts.add(st)
         for c in new_consts:
-            stmts.add(Statement.join_eq(self.zero, c, c))
-            stmts.add(Statement.join_eq(c, self.one, self.one))
+            stmts.add(Statement.join_eq(ZERO, c, c))
+            stmts.add(Statement.join_eq(c, ONE, ONE))
 
         child = PartialStructure(
             constants=all_consts,
             statements=frozenset(stmts),
             depth_bound=self.depth_bound,
-            zero=self.zero,
-            one=self.one,
             counter=self.counter if counter is None else counter,
         )
         # Seed the cached height index, which would otherwise rescan everything.
@@ -254,7 +252,7 @@ class PartialStructure:
     def renamed(self, mapping: dict[str, str]) -> "PartialStructure":
         """Rename constants (bounds excluded); statements follow."""
         for old in mapping:
-            if old in (self.zero, self.one):
+            if old in (ZERO, ONE):
                 raise ValueError("cannot rename the bound constants")
             if old not in self.constants:
                 raise UnknownConstant(f"unknown constant {old!r}", witness=(old,))
@@ -266,8 +264,6 @@ class PartialStructure:
             constants=new_consts,
             statements=frozenset(st.map(sub) for st in self.statements),
             depth_bound=self.depth_bound,
-            zero=self.zero,
-            one=self.one,
             counter=self.counter,
         )
 
@@ -280,11 +276,11 @@ def initial_structure(depth_bound: int) -> PartialStructure:
         constants=(), statements=frozenset(), depth_bound=depth_bound
     )
     return seed.extend(
-        constants=("0", "1"),
+        constants=(ZERO, ONE),
         statements=(
-            Statement.join_eq("0", "1", "1"),
-            Statement.height_is("0", 0),
-            Statement.height_is("1", depth_bound),
+            Statement.join_eq(ZERO, ONE, ONE),
+            Statement.height_is(ZERO, 0),
+            Statement.height_is(ONE, depth_bound),
         ),
     )
 
@@ -402,9 +398,9 @@ def triple_split_structure() -> PartialStructure:
     it has no realization in any powerset lattice but realizes in the
     diamond and in rank-2 subspace lattices.
     """
-    s = split_element(initial_structure(2), "1")
-    b, c = s.split_of("1")
-    return add_split_alternative(s, "1", b, c)
+    s = split_element(initial_structure(2), ONE)
+    b, c = s.split_of(ONE)
+    return add_split_alternative(s, ONE, b, c)
 
 
 # ----- realizations -------------------------------------------------------
@@ -454,7 +450,7 @@ def satisfies(
         return False
     if len(set(values)) != len(values):
         return False
-    if mapping[structure.zero] != lat.bottom or mapping[structure.one] != lat.top:
+    if mapping[ZERO] != lat.bottom or mapping[ONE] != lat.top:
         return False
     return _all_hold(structure.statements, mapping, lat)
 
@@ -471,7 +467,7 @@ def find_realization(
     ``pin`` fixes chosen constants to given elements.  Returns None when no
     realization exists.
     """
-    cap = realization_cap()
+    cap = ambient_cap()
     if lat.size > cap:
         raise SizeBound(f"realization search is capped at {cap} elements")
     consts = structure.constants
@@ -491,8 +487,8 @@ def find_realization(
     domains: list[tuple[ElementId, ...] | range] = []
     for c in consts:
         h = structure.height_of(c)
-        if c == structure.zero or c == structure.one:
-            bound = lat.bottom if c == structure.zero else lat.top
+        if c == ZERO or c == ONE:
+            bound = lat.bottom if c == ZERO else lat.top
             ok = (h is None or heights[bound] == h) and (c not in pin or pin[c] == bound)
             dom = (bound,) if ok else ()
         elif c in pin:
@@ -844,7 +840,7 @@ def line_probe_structure(depth_bound: int) -> PartialStructure:
     """
     s = initial_structure(depth_bound)
     if depth_bound == 2:
-        line = s.one
+        line = ONE
     else:
         line = "l"
         s = s.extend((line,), (Statement.height_is(line, 2),))
@@ -878,7 +874,7 @@ def coplanar_lines_structure(depth_bound: int) -> PartialStructure:
         raise ValueError("coplanar lines need a depth bound of at least 3")
     s = initial_structure(depth_bound)
     if depth_bound == 3:
-        plane = s.one
+        plane = ONE
     else:
         plane = "pl"
         s = s.extend((plane,), (Statement.height_is(plane, 3),))
@@ -1086,7 +1082,7 @@ def _coplanar_meets_closed(n: int, lat: FiniteLattice, view) -> tuple[bool, str]
     if n < 3:
         return True, f"no planes at n={n}"
     cop = coplanar_lines_structure(n)
-    plane_const = cop.one if n == 3 else "pl"
+    plane_const = ONE if n == 3 else "pl"
     checked = 0
     for l1, l2 in itertools.combinations(view.lines, 2):
         plane = lat.join(l1, l2)
@@ -1121,7 +1117,7 @@ def _projective_stages(n: int, lat: FiniteLattice) -> Iterator[Stage]:
         yield "third_point_absent_boolean", True, "no lines at n=1"
     else:
         probe = line_probe_structure(n)
-        line_const = probe.one if n == 2 else "l"
+        line_const = ONE if n == 2 else "l"
 
         def third_point(target, line):
             return find_realization(probe, target, pin={line_const: line}) is not None

@@ -10,15 +10,14 @@ Instances are immutable after construction: all arrays are marked read-only.
 :func:`build_lattice` is the validating constructor: one topological pass
 over the given relation (:func:`_order`) yields its reflexive-transitive
 closure, covers and heights and rejects cycles with a witness; the join
-table then comes from :func:`_least_upper_bounds`, and non-lattices are
-rejected with a witness.  The meet table comes from the same function over
-the dual order on first read.  For n <= 64 elements it holds each up-set
-in one uint64, bits numbered along a linear extension: the least upper
-bound of x and y, when it exists, is the lowest set bit z of
-up(x) & up(y), and it exists iff up(z) == up(x) & up(y) (the bit-vector
-encoding of Ait-Kaci, Boyer, Lincoln & Nasr, "Efficient implementation of
-lattice operations", TOPLAS 1989).  Larger orders key each element by
-the bits of the k elements of exactly one upper cover (the
+table then comes from :func:`_least_upper_bounds`.  The meet table comes
+from the same function over the dual order on first read.  For n <= 64
+elements it holds each up-set in one uint64, bits numbered along a linear
+extension: the least upper bound of x and y, when it exists, is the lowest
+set bit z of up(x) & up(y), and it exists iff up(z) == up(x) & up(y) (the
+bit-vector encoding of Ait-Kaci, Boyer, Lincoln & Nasr, "Efficient
+implementation of lattice operations", TOPLAS 1989).  Larger orders key
+each element by the bits of the k elements of exactly one upper cover (the
 meet-irreducibles, in a lattice) above it, in ceil(k/64) words: in a
 lattice every element is the meet of the meet-irreducibles above it (Davey
 & Priestley, "Introduction to Lattices and Order", ch. 2), so the join of
@@ -27,6 +26,9 @@ x and y is the element whose key is key[x] & key[y], read from a table of
 slots, each hit confirmed against the full key.  They take this route
 when their n keys take no more words than they have cover pairs; the
 rest, chains and M_n among them, take the recursion over upper covers.
+When a kernel finds a pair without a bound, :func:`_raise_missing_bound`
+names the lexicographically first one from up-set and down-set bit rows,
+without building a table.
 Generators elsewhere in the package reuse :class:`FiniteLattice` directly,
 seeding closed-form heights and covers, and closed-form tables as forms
 evaluated on first read; any other lattice derives heights and covers from
@@ -317,8 +319,7 @@ class FiniteLattice:
     def _derived_table(self, meet: bool) -> np.ndarray:
         table = self._bounds(meet)
         if table is None:
-            # The scan names the lexicographically first pair without a bound.
-            table = _scan_bound_tables(self.leq, self.heights, self.labels)[0 if meet else 1]
+            _raise_missing_bound(self.leq, self.heights, self.labels)
         table.setflags(write=False)
         return table
 
@@ -369,8 +370,8 @@ class FiniteLattice:
 # holds at least one element, so scratch stays within max(budget, n^2).
 _STEP_ENTRIES = 1 << 22
 
-# Scratch budget of the key kernel, in bytes of the keys' common words per
-# step; a step holds at least one element.
+# Scratch budget of the key kernel and of the missing-bound search, in bytes
+# of common words per step; a step holds at least one element.
 _KEY_STEP_BYTES = 1 << 22
 
 # Orders of at most this many elements hold each up-set in one uint64.
@@ -595,43 +596,50 @@ def _first_pair(count: int, bad_rows) -> tuple[int, int] | None:
     return None
 
 
-def _scan_bound_tables(leq: np.ndarray, heights: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Meet/join tables from the order; NotALattice on the first bad pair."""
-    n = leq.shape[0]
-    big = np.int32(n + 1)
-    meet = np.empty((n, n), dtype=np.int32)
-    join = np.empty((n, n), dtype=np.int32)
-    idx = np.arange(n)
-    for x in range(n):
-        # join: least common upper bound.  The lub, when it exists, is the
-        # unique minimum-height common upper bound dominating all others.
-        cu = leq[x][None, :] & leq  # [y, z] = (x <= z) and (y <= z)
-        cand = np.where(cu, heights[None, :], big).argmin(axis=1)
-        sizes = cu.sum(axis=1)
-        dominated = (cu & leq[cand]).sum(axis=1)
-        ok = cu[idx, cand] & (dominated == sizes)
-        if not ok.all():
-            y = int(np.flatnonzero(~ok)[0])
-            raise NotALattice(
-                f"elements {labels[x]!r} and {labels[y]!r} have no least upper bound",
-                witness=(x, y),
-            )
-        join[x] = cand
+def _raise_missing_bound(leq: np.ndarray, rank: np.ndarray, labels) -> None:
+    """Raise NotALattice naming the first pair (x, y) in row-major order
+    without a bound, a missing join before a missing meet within a row.
 
-        # meet: greatest common lower bound, dual argument.
-        cl = leq[:, x][None, :] & leq.T  # [y, z] = (z <= x) and (z <= y)
-        cand = np.where(cl, heights[None, :], np.int32(-1)).argmax(axis=1)
-        sizes = cl.sum(axis=1)
-        dominates = (cl & leq[:, cand].T).sum(axis=1)
-        ok = cl[idx, cand] & (dominates == sizes)
-        if not ok.all():
-            y = int(np.flatnonzero(~ok)[0])
+    Called once a bound kernel has found such a pair.  Up-sets and
+    down-sets are bit rows of ceil(n/64) uint64 words, numbered along the
+    linear extension ``rank`` and its reverse, and each pair is tested as in
+    :func:`_word_lubs`: the lowest set bit z of the common set is the bound
+    iff z's row equals that set.  Comparable pairs have both bounds, and a
+    pair lacks a bound both ways round, so only incomparable x < y are
+    tested, in blocks of whole rows.
+    """
+    n = leq.shape[0]
+    number = np.argsort(rank, kind="stable")
+    words = -(-n // _WORD_BITS)
+    geq = np.ascontiguousarray(leq.T)
+    sides = []
+    for order, numbering in ((leq, number), (geq, number[::-1])):
+        packed = np.packbits(order.take(numbering, axis=1), axis=1, bitorder="little")
+        sides.append((np.pad(packed, ((0, 0), (0, 8 * words - packed.shape[1]))).view("<u8"), numbering))
+    apart = np.triu(~(leq | geq), 1)
+    ends = np.concatenate(([0], np.count_nonzero(apart, axis=1).cumsum()))
+    pairs = _KEY_STEP_BYTES // (8 * words)
+    a = 0
+    while a < n:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] + pairs, "right")) - 1)
+        xs, ys = np.nonzero(apart[a:b])
+        xs += a
+        hits = []
+        for meet, (rows, numbering) in enumerate(sides):
+            common = rows[xs] & rows[ys]
+            first = (common != 0).argmax(axis=1)
+            word = common[np.arange(len(xs)), first]
+            bit = np.frexp((word & (~word + np.uint64(1))).astype(np.float64))[1] - 1
+            bad = (rows[numbering[first * _WORD_BITS + bit]] != common).any(axis=1)
+            if bad.any():
+                hits.append((int(xs[bad.argmax()]), meet, int(ys[bad.argmax()])))
+        if hits:
+            x, meet, y = min(hits)
+            bound = "greatest lower" if meet else "least upper"
             raise NotALattice(
-                f"elements {labels[x]!r} and {labels[y]!r} have no greatest lower bound",
-                witness=(x, y),
+                f"elements {labels[x]!r} and {labels[y]!r} have no {bound} bound", witness=(x, y)
             )
-        meet[x] = cand
-    return meet, join
+        a = b
 
 
 def build_lattice(labels, leq_pairs, name="") -> FiniteLattice:
@@ -664,15 +672,12 @@ def build_lattice(labels, leq_pairs, name="") -> FiniteLattice:
         raise NoBoundingElements("order has no unique bottom/top pair")
     bottom, top = int(bottoms[0]), int(tops[0])
 
+    lat = FiniteLattice(labels, leq, bottom, top, name=name)
+    lat._set_heights(heights)
+    lat._set_covers(covers)
     # With a unique bottom, the common lower bounds of x and y form a finite,
     # non-empty set whose join, when all joins exist, is x meet y: the join
     # table alone decides lattice-ness, and the meet table waits for a reader.
-    join = _least_upper_bounds(leq, covers, heights)
-    if join is None:
-        # The scan names the lexicographically first pair without a bound.
-        join = _scan_bound_tables(leq, heights, labels)[1]
-    lat = FiniteLattice(labels, leq, bottom, top, join_table=join, name=name)
-    lat._set_heights(heights)
-    lat._set_covers(covers)
+    lat.join_table
     lat._tables_match_order = True
     return lat

@@ -11,12 +11,12 @@ import os
 MAX_ELEMENTS = 4096
 MAX_BOOLEAN_EXPONENT = 12
 MAX_TREE_DEPTH = 6
-# B_8 has 256 elements, the ambient cap.
-MAX_BOOLEAN_PIPELINE_N = 8
 MAX_VECTORS = 4096
-MAX_REALIZATION_ELEMENTS = 256
 MAX_REALIZATION_CONSTANTS = 64
+# Caps both the realization search and the boolean-sublattice enumeration.
 MAX_AMBIENT_ELEMENTS = 256
+# B_n has 2^n elements: the largest that fits under the ambient cap.
+MAX_BOOLEAN_PIPELINE_N = MAX_AMBIENT_ELEMENTS.bit_length() - 1
 MAX_SUBSTRUCTURE_CONSTANTS = 8
 
 ENV_VAR = "LATTICE_MAX_ELEMENTS"
@@ -45,7 +45,3 @@ def element_cap(builtin=MAX_ELEMENTS):
 
 def ambient_cap():
     return element_cap(MAX_AMBIENT_ELEMENTS)
-
-
-def realization_cap():
-    return element_cap(MAX_REALIZATION_ELEMENTS)

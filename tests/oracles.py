@@ -335,7 +335,7 @@ def naive_realization_exists(structure, lat):
     meet, join = _cached_ops(rows)
     heights = brute_heights(rows)
     consts = structure.constants
-    fixed = {structure.zero: lat.bottom, structure.one: lat.top}
+    fixed = {"0": lat.bottom, "1": lat.top}
     free = [c for c in consts if c not in fixed]
     pool = [e for e in range(lat.size) if e not in (lat.bottom, lat.top)]
     if len(free) > len(pool):
@@ -375,7 +375,7 @@ def all_realizations(structure, lat):
     meet, join = _cached_ops(rows)
     heights = brute_heights(rows)
     consts = structure.constants
-    fixed = {structure.zero: lat.bottom, structure.one: lat.top}
+    fixed = {"0": lat.bottom, "1": lat.top}
     free = [c for c in consts if c not in fixed]
     pool = [e for e in range(lat.size) if e not in (lat.bottom, lat.top)]
     stmts = structure.statements
@@ -513,14 +513,12 @@ def rebuild_extend(structure, constants=(), statements=(), counter=None):
                 )
         stmts.add(st)
     for c in all_consts:
-        stmts.add(Statement.join_eq(structure.zero, c, c))
-        stmts.add(Statement.join_eq(c, structure.one, structure.one))
+        stmts.add(Statement.join_eq("0", c, c))
+        stmts.add(Statement.join_eq(c, "1", "1"))
     return PartialStructure(
         constants=all_consts,
         statements=frozenset(stmts),
         depth_bound=structure.depth_bound,
-        zero=structure.zero,
-        one=structure.one,
         counter=structure.counter if counter is None else counter,
     )
 
@@ -536,7 +534,7 @@ def scan_satisfies(structure, lat, mapping):
         return False
     if len(set(values)) != len(values):
         return False
-    if mapping[structure.zero] != lat.bottom or mapping[structure.one] != lat.top:
+    if mapping["0"] != lat.bottom or mapping["1"] != lat.top:
         return False
     for st in structure.statements:
         ops = [mapping[o] for o in st.operands]

@@ -21,7 +21,15 @@ from latlab import core
 from latlab.limits import element_cap
 
 from oracles import brute_heights, brute_join, brute_meet, leq_rows, scan_bound_tables
-from test_deciders import _relation, bounded_posets, dm_completions, downset_lattices, downset_order
+from test_deciders import (
+    _relation,
+    _shuffled,
+    bounded_posets,
+    digraphs,
+    dm_completions,
+    downset_lattices,
+    downset_order,
+)
 
 
 def powerset_pairs():
@@ -322,6 +330,118 @@ def test_build_lattice_matches_the_scan_above_64_elements(order):
     assert np.array_equal(lat.meet_table, meet)
 
 
+def _with_bowtie(labels, pairs, base):
+    """The order with a bowtie above element ``base``: a and b cover it, c
+    and d cover both, and t covers c and d.  a and b have two minimal upper
+    bounds, so their join is missing, as may be others."""
+    n = len(labels)
+    a, b, c, d, t = range(n, n + 5)
+    bowtie = [(base, a), (base, b), (a, c), (a, d), (b, c), (b, d), (c, t), (d, t)]
+    return [*labels, *(f"bow{i}" for i in range(5))], [*pairs, *bowtie]
+
+
+@st.composite
+def grafted_downset_lattices(draw):
+    """A down-set lattice of 65-200 elements with a bowtie grafted above a
+    drawn element and below the old top, or above the top: 70-205 elements,
+    so up-sets of two to four words."""
+    labels, pairs = draw(downset_lattices())
+    n = len(labels)
+    top = next(e for e in range(n) if all(x != e for x, _ in pairs))
+    base = draw(st.integers(0, n - 1))
+    labels, pairs = _with_bowtie(labels, pairs, base)
+    return labels, pairs + [(n + 4, top)] * (base != top)
+
+
+@st.composite
+def digraph_orders(draw):
+    """The order generated by a random digraph with each pair turned to
+    point up in index order, its elements then renumbered at random: mostly
+    without a bottom or a top, so meets go missing as often as joins."""
+    labels, pairs = draw(digraphs())
+    pairs = [(min(p), max(p)) for p in pairs]
+    return _shuffled(draw, len(labels), pairs)
+
+
+def _bound_outcome(derive, *args):
+    try:
+        derive(*args)
+    except NotALattice as exc:
+        return type(exc), str(exc), exc.witness
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(bounded_posets(), dm_completions(), digraph_orders(), grafted_downset_lattices()))
+def test_missing_bound_search_names_the_scans_pair(order):
+    labels, pairs = order
+    leq, _, heights = core._order(_relation(len(labels), pairs), labels)
+    want = _bound_outcome(scan_bound_tables, leq, heights, labels)
+    assert _bound_outcome(core._raise_missing_bound, leq, heights, labels) == want
+
+
+def _chain_bowtie(size):
+    """A chain of size - 5 elements with a bowtie above its top: e0 < ... <
+    e(size-6), then e(size-5) and e(size-4) with no join."""
+    m = size - 5
+    _, pairs = _with_bowtie(range(m), [(i, i + 1) for i in range(m - 1)], m - 1)
+    return [f"e{i}" for i in range(size)], pairs
+
+
+def _boolean_bowtie(k):
+    """B_k with a bowtie above its top."""
+    b = boolean_lattice(k)
+    return _with_bowtie(list(b.labels), b.upper_neighbors(), b.top)
+
+
+@pytest.mark.parametrize("make, size", [(_chain_bowtie, 256), (_boolean_bowtie, 8)],
+                         ids=["chain_256", "B_8"])
+def test_late_missing_join_matches_the_scan(make, size):
+    labels, pairs = make(size)
+    with pytest.raises(NotALattice) as built:
+        build_lattice(labels, pairs)
+    leq, _, heights = core._order(_relation(len(labels), pairs), labels)
+    with pytest.raises(NotALattice) as scanned:
+        scan_bound_tables(leq, heights, labels)
+    assert (str(built.value), built.value.witness) == (str(scanned.value), scanned.value.witness)
+
+
+@pytest.mark.parametrize("make, size", [(_chain_bowtie, 1024), (_chain_bowtie, 4096),
+                                        (_boolean_bowtie, 10), (_boolean_bowtie, 11)],
+                         ids=["chain_1024", "chain_4096", "B_10", "B_11"])
+def test_late_missing_join_at_scale_names_the_bowtie(make, size):
+    # The frozen scan takes seconds to minutes here.  The first pair
+    # without a join is the bowtie's a and b.
+    labels, pairs = make(size)
+    a = len(labels) - 5
+    with pytest.raises(NotALattice) as built:
+        build_lattice(labels, pairs)
+    assert built.value.witness == (a, a + 1)
+    assert str(built.value) == f"elements {labels[a]!r} and {labels[a + 1]!r} have no least upper bound"
+
+
+def test_build_lattice_derives_its_join_table_once_through_the_lattice(monkeypatch):
+    calls = _count_bound_calls(monkeypatch)
+    made = []
+
+    class Spied(core.FiniteLattice):
+        def __init__(self, *args, **kwargs):
+            made.append((args, kwargs))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(core, "FiniteLattice", Spied)
+    for labels, pairs in (powerset_pairs()[:2], _chain_bowtie(70), BOWTIE):
+        calls.clear()
+        made.clear()
+        try:
+            build_lattice(labels, pairs)
+        except NotALattice:
+            pass
+        assert len(calls) == 1
+        (args, kwargs), = made
+        assert len(args) == 4 and set(kwargs) == {"name"}
+
+
 def _shuffled_build(size, pairs):
     """build_lattice over the order given by ``pairs`` on range(size), with
     the elements renumbered at random so that rank order is not index order."""
@@ -420,7 +540,7 @@ def test_key_kernel_rejects_each_non_lattice(monkeypatch, order, converse, extra
     assert core._key_lubs(leq, irreducible) is None
     _assert_bound_kernels_agree(labels, pairs)
     # Times B_4, the order has more than 64 elements and takes the key
-    # kernel, which returns None; the scan then names the same first pair.
+    # kernel, which returns None; the search then names the frozen scan's pair.
     labels, pairs = _times_b4(labels, pairs)
     routes = _spy_bound_kernels(monkeypatch)
     with pytest.raises(NotALattice) as built:
