@@ -15,10 +15,13 @@ the theorems below read.  Given it:
   Jordan-Dedekind chain condition, and a strictly monotone valuation forces
   modularity (Birkhoff, *Lattice Theory*, ch. III and X).
 
-When the premise or the theorem's condition fails, the full scan runs.  So a
-failing law always carries the lexicographically first violating element
-tuple under the element ordering, and failures are reproducible and
-re-checkable.
+When the premise or the theorem's condition fails, the scan runs.  Given
+the premise it skips each x comparable to every element, whose row holds no
+witness: for distributivity, y, z < x gives y join z on both sides, and
+x <= y or x <= z gives x; for modularity (x <= z), y <= x gives x and x <= y
+gives y meet z.  Without the premise every row is scanned.  So a failing law
+always carries the lexicographically first violating element tuple under the
+element ordering, and failures are reproducible and re-checkable.
 """
 
 from __future__ import annotations
@@ -71,8 +74,9 @@ class LawReport:
         }
 
 
-def _first(mask: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(v) for v in np.argwhere(mask)[0])
+def _first(mask: np.ndarray) -> tuple[int, int]:
+    """The first true (row, column) of a 2-D mask with a true entry."""
+    return divmod(int(mask.argmax()), mask.shape[1])
 
 
 def check_lattice_axioms(lat: FiniteLattice) -> LawReport:
@@ -94,7 +98,9 @@ def is_distributive(lat: FiniteLattice) -> LawReport:
     """
     if lat.tables_match_order() and _join_irreducibles_are_prime(lat):
         return LawReport(Law.DISTRIBUTIVE, True)
-    return _scan_distributive(lat)
+    m, j = lat.meet_table, lat.join_table
+    # [y, z] = m[x, j[y, z]] against j[m[x, y], m[x, z]]
+    return _first_triple(lat, Law.DISTRIBUTIVE, lambda x: m[x].take(j) != j[m[x][:, None], m[x]])
 
 
 def is_modular(lat: FiniteLattice) -> LawReport:
@@ -104,7 +110,9 @@ def is_modular(lat: FiniteLattice) -> LawReport:
     """
     if lat.tables_match_order() and _height_law(lat).holds:
         return LawReport(Law.MODULAR, True)
-    return _scan_modular(lat)
+    m, j = lat.meet_table, lat.join_table
+    # [y, z] = j[x, m[y, z]] against m[j[x, y], z], where x <= z
+    return _first_triple(lat, Law.MODULAR, lambda x: (j[x].take(m) != m[j[x]]) & lat.leq[x])
 
 
 def _join_irreducibles_are_prime(lat: FiniteLattice) -> bool:
@@ -121,7 +129,11 @@ def _join_irreducibles_are_prime(lat: FiniteLattice) -> bool:
 
 
 def _scan_lattice_axioms(lat: FiniteLattice) -> LawReport:
-    """Full scan of the axioms over the stored tables, first failure first."""
+    """Full scan of the axioms over the stored tables, first failure first.
+
+    O(n^3), but documents carry no tables, so only a FiniteLattice built by
+    hand, with tables passed in or an order that is not closed, can fail the
+    premise and reach it."""
     m, j = lat.meet_table, lat.join_table
     n = lat.size
     idx = np.arange(n)
@@ -158,30 +170,18 @@ def _scan_lattice_axioms(lat: FiniteLattice) -> LawReport:
     return LawReport(Law.LATTICE_AXIOMS, True)
 
 
-def _scan_distributive(lat: FiniteLattice) -> LawReport:
-    """Full scan of every triple; the first violating one is the witness."""
-    m, j = lat.meet_table, lat.join_table
-    for x in range(lat.size):
-        lhs = m[x][j]                     # [y, z] = m[x, j[y, z]]
-        rhs = j[m[x][:, None], m[x][None, :]]
-        bad = lhs != rhs
+def _first_triple(lat: FiniteLattice, law: Law, bad_rows) -> LawReport:
+    """The report naming the least (x, y, z) in row-major order with
+    ``bad_rows(x)[y, z]`` true, the n x n block of row x.  Given the premise,
+    only the x incomparable to some element are visited (module docstring)."""
+    rows = range(lat.size)
+    if lat.tables_match_order():
+        rows = np.flatnonzero(~(lat.leq | lat.leq.T).all(axis=1)).tolist()
+    for x in rows:
+        bad = bad_rows(x)
         if bad.any():
-            y, z = _first(bad)
-            return LawReport(Law.DISTRIBUTIVE, False, (x, y, z))
-    return LawReport(Law.DISTRIBUTIVE, True)
-
-
-def _scan_modular(lat: FiniteLattice) -> LawReport:
-    """Full scan of every triple; the first violating one is the witness."""
-    m, j = lat.meet_table, lat.join_table
-    for x in range(lat.size):
-        lhs = j[x][m]                     # [y, z] = j[x, m[y, z]]
-        rhs = m[j[x]]                     # [y, z] = m[j[x, y], z]
-        bad = (lhs != rhs) & lat.leq[x][None, :]
-        if bad.any():
-            y, z = _first(bad)
-            return LawReport(Law.MODULAR, False, (x, y, z))
-    return LawReport(Law.MODULAR, True)
+            return LawReport(law, False, (x, *_first(bad)))
+    return LawReport(law, True)
 
 
 def satisfies_height_law(lat: FiniteLattice) -> LawReport:

@@ -8,8 +8,9 @@ are the last three sections.  The construction-engine scans read the
 lattice's meet/join tables and check the package's indexes, memo, pruning,
 statement building and incremental growth and re-checks against the
 unindexed, uncached, one-at-a-time, whole-structure forms.  The bound-table and law scans are the full O(n^3)
-forms that the package's cover recursion and theorem-backed deciders
-replaced; they read whatever tables and order a lattice carries, forged or
+forms that the package's cover recursion, theorem-backed deciders and
+row cut replaced, and the height-law scan keeps the ``argwhere`` first hit
+that ``props._first`` replaced; they read whatever tables and order a lattice carries, forged or
 not, and are the reference those fast paths must match exactly.  The
 order-derivation section freezes the squaring closure, square-read covers
 and argsort heights that ``core._order`` replaced.  The write-path section
@@ -805,6 +806,22 @@ def scan_modular(lat):
             y, z = _first(bad)
             return LawReport(Law.MODULAR, False, (x, y, z))
     return LawReport(Law.MODULAR, True)
+
+
+def scan_height_law(lat):
+    """h(x meet y) + h(x join y) = h(x) + h(y) over every pair, first
+    failure first, with its detail."""
+    from latlab.props import Law, LawReport
+
+    h = lat.heights
+    lhs = h[lat.meet_table] + h[lat.join_table]
+    rhs = h[:, None] + h[None, :]
+    bad = lhs != rhs
+    if bad.any():
+        x, y = _first(bad)
+        detail = f"h(meet)+h(join)={int(lhs[x, y])} but h(x)+h(y)={int(rhs[x, y])}"
+        return LawReport(Law.HEIGHT_LAW, False, (x, y), detail)
+    return LawReport(Law.HEIGHT_LAW, True)
 
 
 # ----- write-path reference -------------------------------------------------

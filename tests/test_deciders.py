@@ -4,14 +4,17 @@ deciders against the frozen squaring closure and full scans in ``oracles``.
 The fast paths must agree with the scans everywhere: identical tables,
 identical NotALattice message and witness, and identical LawReports,
 including on lattices whose tables or order were forged so that the
-deciders' premise fails.  The row scans of P1, P2 and atoms-only
-perspectivity must return the frozen pair loops' reports, witness and detail
-included.  Complemented and atomic must return the reports of brute-force
-scans of the order, and random lattices must survive a write and a load
-unchanged.
+deciders' premise fails.  Orders with N5 or M3 grafted on top fail their
+laws only in the last rows, where the row cut of the distributive and
+modular scans must find the full scans' witnesses.  The row scans of P1, P2
+and atoms-only perspectivity must return the frozen pair loops' reports,
+witness and detail included.  Complemented and atomic must return the
+reports of brute-force scans of the order, and random lattices must survive
+a write and a load unchanged.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +72,7 @@ from oracles import (
     scan_bound_tables,
     scan_cover_matrix,
     scan_distributive,
+    scan_height_law,
     scan_lattice_axioms,
     scan_modular,
     squaring_order,
@@ -396,15 +400,21 @@ def test_premise_gate_falls_back_to_the_scan(decide, scan, make):
         assert witness_violates(lat, report)
 
 
-@settings(max_examples=80, deadline=None)
-@given(dm_completions(), st.sampled_from(["meet", "join"]), st.data())
-def test_any_forged_entry_fails_the_premise(lattice, table, data):
-    lat = build_lattice(*lattice)
-    assume(lat.size > 1)
+def _draw_forged(lat, data):
+    """A copy of ``lat`` with one drawn table entry changed."""
+    table = data.draw(st.sampled_from(["meet", "join"]))
     x, y = data.draw(st.tuples(*[st.integers(0, lat.size - 1)] * 2))
     true = int((lat.meet_table if table == "meet" else lat.join_table)[x, y])
     value = data.draw(st.integers(0, lat.size - 1).filter(lambda v: v != true))
-    forged = _forged(lat, table, x, y, value)
+    return _forged(lat, table, x, y, value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dm_completions(), st.data())
+def test_any_forged_entry_fails_the_premise(lattice, data):
+    lat = build_lattice(*lattice)
+    assume(lat.size > 1)
+    forged = _draw_forged(lat, data)
     assert not forged.tables_match_order()
     assert not verify_tables(forged)
     for decide, scan in DECIDERS:
@@ -475,6 +485,90 @@ def test_forged_table_over_a_distributive_order_fails_by_scan():
     x, y, z = modular.witness
     assert lat.le(x, z) and j[x, m[y, z]] != m[j[x, y], z]
 
+
+# ----- late violations: the row cut -------------------------------------------
+
+# N5 (0 < a < c < 1, 0 < b < 1) and M3 (0 < a, b, c < 1) on elements 0..4.
+GRAFTS = {
+    "N5": [(0, 1), (1, 3), (3, 4), (0, 2), (2, 4)],
+    "M3": [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
+}
+
+
+def _graft_on_top(labels, pairs, top, shape):
+    """``shape`` grafted above ``top``: its bottom is ``top`` and its other
+    four elements come last, so the violations it adds lie in the last rows."""
+    n = len(labels)
+    new = [top, n, n + 1, n + 2, n + 3]
+    grafted = [(new[a], new[b]) for a, b in GRAFTS[shape]]
+    return list(labels) + [f"g{i}" for i in range(4)], list(pairs) + grafted
+
+
+def _with_n5(lat):
+    """``lat`` with N5 grafted above its top."""
+    return build_lattice(*_graft_on_top(lat.labels, lat.upper_neighbors(), lat.top, "N5"))
+
+
+@pytest.mark.parametrize("shape", sorted(GRAFTS))
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(bounded_posets(), dm_completions(), downset_lattices()), st.data())
+def test_deciders_match_scans_on_late_violations(shape, relation, data):
+    labels, pairs = relation
+    top = int(np.flatnonzero(_closed(len(labels), pairs).all(axis=0))[0])
+    lat = _lattice_or_none(_graft_on_top(labels, pairs, top, shape))
+    if lat is None:
+        return
+    _assert_deciders_match(lat)
+    forged = _draw_forged(lat, data)
+    assert not forged.tables_match_order()
+    for decide, scan in DECIDERS:
+        assert decide(forged) == scan(forged), forged.name
+
+
+def test_forged_two_chain_scans_every_row():
+    # Both elements are comparable to everything, so a row cut taken
+    # without the premise would scan no row and answer "holds".
+    lat = _forged(chain(2), "meet", 0, 0, 1)
+    assert not lat.tables_match_order()
+    for decide, scan in DECIDERS:
+        assert decide(lat) == scan(lat)
+    assert is_distributive(lat).witness == (0, 0, 1)
+
+
+@pytest.mark.parametrize("make", [lambda: chain(252), lambda: boolean_lattice(8)],
+                         ids=["chain_n5_256", "b8_n5_260"])
+def test_late_violations_match_scans(make):
+    lat = _with_n5(make())
+    _assert_deciders_match(lat)
+    assert not is_distributive(lat).holds and not is_modular(lat).holds
+
+
+def test_late_violations_at_the_element_cap():
+    # The full scans take minutes here; the row cut visits the last rows.
+    lat = _with_n5(chain(4092))
+    assert is_distributive(lat).witness == (4094, 4092, 4093)
+    assert is_modular(lat).witness == (4092, 4093, 4094)
+
+
+def test_height_law_witness_allocates_no_coordinates():
+    # M_254 and a 256-chain side by side between one bottom and one top:
+    # the law fails on most pairs.  The law's own arrays peak near three
+    # n x n int32 tables; np.argwhere on its mask added two int64
+    # coordinates per failing pair, over eight tables in all.
+    atoms, length = 254, 256
+    n = atoms + length + 2
+    pairs = [(0, a) for a in range(1, atoms + 1)] + [(a, n - 1) for a in range(1, atoms + 1)]
+    pairs += [(0, atoms + 1), (n - 2, n - 1)] + [(c, c + 1) for c in range(atoms + 1, n - 2)]
+    lat = build_lattice([f"e{i}" for i in range(n)], pairs)
+    lat.meet_table, lat.join_table
+    tracemalloc.start()
+    try:
+        report = satisfies_height_law(lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == scan_height_law(lat) and not report.holds
+    assert peak < 4 * n * n * np.dtype(np.int32).itemsize
 
 # ----- the shared cover matrix ------------------------------------------------
 
