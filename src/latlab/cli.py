@@ -20,9 +20,9 @@ import time
 from .construction import verify_boolean_pipeline, verify_projective_pipeline
 from .document import (
     LatticeDocument,
-    document_from_lattice,
     document_to_lattice,
     lattice_to_dot,
+    lattice_to_json,
     load_document,
     parse_document,
 )
@@ -76,7 +76,7 @@ def _report_json(value) -> str:
     with string keys, lists, tuples and JSON scalars.
 
     json's indented encoder runs in Python, so the layout is joined here, as
-    in ``LatticeDocument.to_json``, around one ``%s`` per key, scalar and
+    in ``document._document_json``, around one ``%s`` per key, scalar and
     empty container; then one compact ``json.dumps`` call, which runs in C,
     escapes them all.  Its item separator is a NUL, which JSON text never
     holds raw.
@@ -136,7 +136,7 @@ def _cmd_gen(args) -> int:
         lat = diamond_m3()
     else:
         lat = pentagon_n5()
-    _emit(document_from_lattice(lat).to_json(), args.out)
+    _emit(lattice_to_json(lat), args.out)
     return 0
 
 
@@ -187,7 +187,7 @@ def _cmd_export(args) -> int:
     if args.format == "hasse-dot":
         _emit(lattice_to_dot(lat), args.out)
     else:
-        _emit(document_from_lattice(lat, name=doc.name).to_json(), args.out)
+        _emit(lattice_to_json(lat, name=doc.name), args.out)
     return 0
 
 

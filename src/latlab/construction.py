@@ -467,7 +467,7 @@ def find_realization(
     ``pin`` fixes chosen constants to given elements.  Returns None when no
     realization exists.
     """
-    cap = ambient_cap()
+    cap = _run_cap or ambient_cap()
     if lat.size > cap:
         raise SizeBound(f"realization search is capped at {cap} elements")
     consts = structure.constants
@@ -636,7 +636,7 @@ def _all_boolean_sublattices(lat: FiniteLattice) -> list[BooleanSublattice]:
 
 def _memo(lat: FiniteLattice) -> list:
     """The lattice's memo entry, made on first use; checks the ambient cap."""
-    cap = ambient_cap()
+    cap = _run_cap or ambient_cap()
     if lat.size > cap:
         raise SizeBound(f"sublattice enumeration is capped at {cap} elements")
     entry = _SUBLATTICES.get(lat)
@@ -999,9 +999,19 @@ def _closure_covers_lattice(lat: FiniteLattice, closure: ClosureResult) -> bool:
     return all(st in stmts for st in _statements_among(range(lat.size), name_of, lat))
 
 
-def _report(name: str, params: dict, stages: Iterable[Stage]) -> PipelineReport:
-    """Run a pipeline's stages in order and collect their outcomes."""
-    return PipelineReport(name, params, {s: {"ok": ok, "detail": d} for s, ok, d in stages})
+# The running pipeline's ambient cap, read once per run; None outside one.
+# Not a parameter, so find_realization keeps the signature substitutes use.
+_run_cap: int | None = None
+
+
+def _report(name: str, params: dict, stages: Iterable[Stage], cap: int) -> PipelineReport:
+    """Run a pipeline's stages in order under ambient cap ``cap``; collect their outcomes."""
+    global _run_cap
+    _run_cap = cap
+    try:
+        return PipelineReport(name, params, {s: {"ok": ok, "detail": d} for s, ok, d in stages})
+    finally:
+        _run_cap = None
 
 
 def _tree_stages(n: int, lat: FiniteLattice) -> Generator[Stage, None, Realization | None]:
@@ -1052,7 +1062,7 @@ def verify_boolean_pipeline(n: int) -> PipelineReport:
         raise SizeBound(
             f"the end-to-end boolean pipeline is capped at n={MAX_BOOLEAN_PIPELINE_N}"
         )
-    return _report("boolean", {"n": n}, _boolean_stages(n, boolean_lattice(n)))
+    return _report("boolean", {"n": n}, _boolean_stages(n, boolean_lattice(n)), ambient_cap())
 
 
 def _atom_joins_closed(n: int, lat: FiniteLattice, view) -> tuple[bool, str]:
@@ -1155,4 +1165,4 @@ def verify_projective_pipeline(n: int, q: int) -> PipelineReport:
             f"{size} subspaces exceeds the sublattice enumeration cap of {cap}"
         )
     lat = subspace_lattice(n, q)
-    return _report("projective", {"n": n, "q": q}, _projective_stages(n, lat))
+    return _report("projective", {"n": n, "q": q}, _projective_stages(n, lat), cap)

@@ -8,10 +8,13 @@ hand-written fixtures small: the cover pairs suffice.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
-from .core import FiniteLattice, build_lattice
+import numpy as np
+
+from .core import FiniteLattice, _pairs, build_lattice
 from .errors import DocumentError
 
 
@@ -28,22 +31,33 @@ class LatticeDocument:
     order: tuple[tuple[str, str], ...]
 
     def to_json(self) -> str:
-        """``json.dumps(..., indent=2, sort_keys=True)`` plus a newline, joined
-        here because json's indented encoder runs in Python; each distinct
-        label is escaped once by ``json.dumps``, which runs in C."""
-        quoted = {s: json.dumps(s) for s in set(self.elements).union(*self.order)}
-        elements = [quoted[e] for e in self.elements]
-        order = [f"[\n      {quoted[a]},\n      {quoted[b]}\n    ]" for a, b in self.order]
-        return (
-            f'{{\n  "elements": {_json_list(elements)},\n'
-            f'  "name": {json.dumps(self.name)},\n'
-            f'  "order": {_json_list(order)}\n}}\n'
-        )
+        """``json.dumps(..., indent=2, sort_keys=True)`` plus a newline."""
+        k = len(self.elements)
+        quoted = _quoted([*self.elements, *itertools.chain.from_iterable(self.order)])
+        return _document_json(self.name, quoted[:k], quoted[k::2], quoted[k + 1 :: 2])
 
 
-def _json_list(items: list[str]) -> str:
-    """A key's value list in the two-space layout of ``json.dumps``."""
-    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+def _quoted(labels: list[str]) -> list[str]:
+    """Each label as a JSON string, from one ``json.dumps`` call, which runs
+    in C; its item separator is a NUL, which JSON text never holds raw."""
+    return json.dumps(labels, separators=("\0", ":"))[1:-1].split("\0") if labels else []
+
+
+def _joined_pairs(children: list, parents: list, before: str, between: str, after: str) -> str:
+    """``before + child + between + parent + after`` over the pairs, from one
+    join over a list with the pieces interleaved."""
+    parts = [before, None, between, None, after] * len(children)
+    parts[1::5], parts[3::5] = children, parents
+    return "".join(parts)
+
+
+def _document_json(name: str, elements: list[str], children, parents) -> str:
+    """A document's text from its quoted labels, laid out here because json's
+    indented encoder runs in Python."""
+    order = _joined_pairs(children, parents, "\n    [\n      ", ",\n      ", "\n    ],")
+    order = "[" + order[:-1] + "\n  ]" if order else "[]"
+    elements = "[\n    " + ",\n    ".join(elements) + "\n  ]" if elements else "[]"
+    return f'{{\n  "elements": {elements},\n  "name": {json.dumps(name)},\n  "order": {order}\n}}\n'
 
 
 def parse_document(text: str) -> LatticeDocument:
@@ -68,23 +82,18 @@ def parse_document(text: str) -> LatticeDocument:
     if not isinstance(name, str):
         raise DocumentError("'name' must be a string")
     elements = payload["elements"]
-    if not isinstance(elements, list) or not all(
-        isinstance(e, str) for e in elements
-    ):
+    if not isinstance(elements, list) or not set(map(type, elements)) <= {str}:
         raise DocumentError("'elements' must be a list of strings")
     order = payload["order"]
     if not isinstance(order, list):
         raise DocumentError("'order' must be a list of [child, parent] pairs")
-    pairs = []
-    for entry in order:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(s, str) for s in entry)
-        ):
-            raise DocumentError(f"order entry {entry!r} is not a label pair")
-        pairs.append((entry[0], entry[1]))
-    return LatticeDocument(name, tuple(elements), tuple(pairs))
+    # Whole-list passes in C; the loop runs only to name the first bad entry.
+    if not (set(map(type, order)) <= {list} and set(map(len, order)) <= {2}
+            and set(map(type, itertools.chain.from_iterable(order))) <= {str}):
+        for entry in order:
+            if not isinstance(entry, list) or len(entry) != 2 or set(map(type, entry)) != {str}:
+                raise DocumentError(f"order entry {entry!r} is not a label pair")
+    return LatticeDocument(name, tuple(elements), tuple(map(tuple, order)))
 
 
 def load_document(path: str) -> LatticeDocument:
@@ -94,13 +103,12 @@ def load_document(path: str) -> LatticeDocument:
 
 def document_to_lattice(doc: LatticeDocument) -> FiniteLattice:
     """Validate and build the lattice a document describes."""
-    index = {label: i for i, label in enumerate(doc.elements)}
-    pairs = []
-    for child, parent in doc.order:
-        if child not in index or parent not in index:
-            missing = child if child not in index else parent
-            raise DocumentError(f"order references unknown element {missing!r}")
-        pairs.append((index[child], index[parent]))
+    index = dict(zip(doc.elements, range(len(doc.elements))))
+    flat = list(map(index.get, itertools.chain.from_iterable(doc.order)))
+    if None in flat:
+        k = flat.index(None)
+        raise DocumentError(f"order references unknown element {doc.order[k // 2][k % 2]!r}")
+    pairs = np.array(flat, dtype=np.int64).reshape(len(doc.order), 2)
     return build_lattice(doc.elements, pairs, name=doc.name)
 
 
@@ -114,6 +122,16 @@ def document_from_lattice(lat: FiniteLattice, name: str | None = None) -> Lattic
     )
 
 
+def lattice_to_json(lat: FiniteLattice, name: str | None = None) -> str:
+    """``document_from_lattice(lat, name).to_json()``, written from the
+    cover pairs' index arrays with no Python object per pair."""
+    quoted = _quoted(list(lat.labels))
+    labels = np.array(quoted, dtype=object)
+    xs, ys = _pairs(lat.covers)
+    name = lat.name if name is None else name
+    return _document_json(name, quoted, labels[xs].tolist(), labels[ys].tolist())
+
+
 def _quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -122,16 +140,15 @@ def lattice_to_dot(lat: FiniteLattice) -> str:
     """Directed-graph rendering of the cover relation, ranked by height.
 
     Edges point from each element to its upper neighbors; elements of equal
-    height share a rank so layers come out level.
+    height share a rank so layers come out level.  Labels are escaped for
+    DOT (backslash and double quote only), once each.
     """
+    labels = np.array([_quote(s) for s in lat.labels], dtype=object)
+    ranked = np.argsort(lat.heights, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(lat.heights[ranked])) + 1).tolist(), lat.size]
+    ranked = labels[ranked].tolist()
     lines = ["digraph lattice {", "  rankdir=BT;"]
-    by_height: dict[int, list[int]] = {}
-    for e in range(lat.size):
-        by_height.setdefault(lat.height(e), []).append(e)
-    for h in sorted(by_height):
-        row = " ".join(f"{_quote(lat.labels[e])};" for e in by_height[h])
-        lines.append(f"  {{ rank=same; {row} }}")
-    for x, y in lat.upper_neighbors():
-        lines.append(f"  {_quote(lat.labels[x])} -> {_quote(lat.labels[y])};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += ["  { rank=same; " + "; ".join(ranked[a:b]) + "; }" for a, b in zip(cuts, cuts[1:])]
+    xs, ys = _pairs(lat.covers)
+    edges = _joined_pairs(labels[xs].tolist(), labels[ys].tolist(), "  ", " -> ", ";\n")
+    return "\n".join(lines) + "\n" + edges + "}\n"

@@ -38,11 +38,12 @@ def boolean_lattice(n: int) -> FiniteLattice:
     if size > cap:
         raise SizeBound(f"2^{n} elements exceeds the cap of {cap}")
 
-    names = string.ascii_lowercase[:n]
-    labels = [
-        "{" + ",".join(names[i] for i in range(n) if mask >> i & 1) + "}"
-        for mask in range(size)
-    ]
+    # Mask m's letters are those of its low bits: each letter doubles the
+    # list, appending itself to every label so far.
+    inner = [""]
+    for c in string.ascii_lowercase[:n]:
+        inner += [f"{s},{c}" if s else c for s in inner]
+    labels = ["{" + s + "}" for s in inner]
     idx = np.arange(size, dtype=np.int32)
     # Subsets of the first i + 1 letters: a set without letter i lies below
     # a set with it iff it lies below that set minus the letter, and a set

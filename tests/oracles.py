@@ -15,7 +15,9 @@ not, and are the reference those fast paths must match exactly.  The
 order-derivation section freezes the squaring closure, square-read covers
 and argsort heights that ``core._order`` replaced.  The write-path section
 freezes the ``argwhere`` cover pairs and the ``json.dumps`` document body
-that ``upper_neighbors`` and ``LatticeDocument.to_json`` replaced.  The last
+that ``upper_neighbors`` and ``LatticeDocument.to_json`` replaced, and the
+writers of one label tuple, f-string and lookup per cover pair that the
+index-array writers replaced.  The last
 section freezes the premise check with its own lub verifier, and
 ``saturate_splits`` as a rescan of every constant after each split.  The
 pair-loop section freezes P1, P2 and atoms-only perspectivity as the loops
@@ -843,6 +845,44 @@ def json_dumps_document(doc):
         "order": [[a, b] for a, b in doc.order],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def pairwise_document_json(lat, name=None):
+    """``document_from_lattice(lat, name).to_json()`` as written from one
+    label tuple per cover pair, each distinct label escaped once."""
+    labels = lat.labels
+    order = [(labels[x], labels[y]) for x, y in argwhere_cover_pairs(lat)]
+    quoted = {s: json.dumps(s) for s in labels}
+
+    def json_list(items):
+        return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+    pairs = [f"[\n      {quoted[a]},\n      {quoted[b]}\n    ]" for a, b in order]
+    return (
+        f'{{\n  "elements": {json_list([quoted[e] for e in labels])},\n'
+        f'  "name": {json.dumps(lat.name if name is None else name)},\n'
+        f'  "order": {json_list(pairs)}\n}}\n'
+    )
+
+
+def pairwise_lattice_to_dot(lat):
+    """``lattice_to_dot`` as written from a height dict and one quoted
+    label pair per cover edge; DOT escapes only backslash and quote."""
+
+    def quote(label):
+        return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = ["digraph lattice {", "  rankdir=BT;"]
+    by_height = {}
+    for e in range(lat.size):
+        by_height.setdefault(lat.height(e), []).append(e)
+    for h in sorted(by_height):
+        row = " ".join(f"{quote(lat.labels[e])};" for e in by_height[h])
+        lines.append(f"  {{ rank=same; {row} }}")
+    for x, y in argwhere_cover_pairs(lat):
+        lines.append(f"  {quote(lat.labels[x])} -> {quote(lat.labels[y])};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 # ----- premise and split-saturation reference -------------------------------

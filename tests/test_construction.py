@@ -50,7 +50,7 @@ from latlab import (
     verify_projective_pipeline,
 )
 
-from latlab import construction, generators
+from latlab import construction, generators, limits
 from latlab.cli import main
 from latlab.witness import chain_height
 from oracles import (
@@ -737,6 +737,26 @@ def test_closure_constant_cap_comes_before_the_search_and_the_memo(monkeypatch):
     for given_realization in (None, realization):
         with pytest.raises(SizeBound):
             boolean_closure(free, free.constants, b4, given_realization)
+
+
+def test_a_pipeline_reads_the_cap_once_and_clears_it(monkeypatch):
+    reads = []
+    read = limits._env_cap
+    monkeypatch.setattr(limits, "_env_cap", lambda: reads.append(1) or read())
+    for q in (3, 19):
+        reads.clear()
+        verify_projective_pipeline(2, q)
+        # The target's and the boolean probe's generators read the element
+        # cap, and the pipeline the ambient cap: once each, at any q.
+        assert len(reads) == 3
+    # A run that raises clears its cap too: later calls read the variable.
+    b2, tree = boolean_lattice(2), saturate_splits(initial_structure(2))
+    monkeypatch.setattr(construction, "saturate_splits", _refuse)
+    with pytest.raises(AssertionError):
+        verify_boolean_pipeline(2)
+    monkeypatch.setenv("LATTICE_MAX_ELEMENTS", str(b2.size - 1))
+    with pytest.raises(SizeBound, match="elements"):
+        find_realization(tree, b2)
 
 
 def test_ambient_cap_comes_before_enumeration(monkeypatch):

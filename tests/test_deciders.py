@@ -550,11 +550,10 @@ def test_late_violations_at_the_element_cap():
     assert is_modular(lat).witness == (4092, 4093, 4094)
 
 
-def test_height_law_witness_allocates_no_coordinates():
-    # M_254 and a 256-chain side by side between one bottom and one top:
-    # the law fails on most pairs.  The law's own arrays peak near three
-    # n x n int32 tables; np.argwhere on its mask added two int64
-    # coordinates per failing pair, over eight tables in all.
+def _height_law_peak_tables():
+    """The height law on M_254 and a 256-chain side by side between one
+    bottom and one top, where it fails on most pairs: its tracemalloc peak
+    in n x n int32 tables, after checking the report against the scan."""
     atoms, length = 254, 256
     n = atoms + length + 2
     pairs = [(0, a) for a in range(1, atoms + 1)] + [(a, n - 1) for a in range(1, atoms + 1)]
@@ -568,7 +567,19 @@ def test_height_law_witness_allocates_no_coordinates():
     finally:
         tracemalloc.stop()
     assert report == scan_height_law(lat) and not report.holds
-    assert peak < 4 * n * n * np.dtype(np.int32).itemsize
+    return peak / (n * n * np.dtype(np.int32).itemsize)
+
+
+def test_height_law_witness_allocates_no_coordinates():
+    # np.argwhere on the law's mask added two int64 coordinates per
+    # failing pair, over eight tables in all.
+    assert _height_law_peak_tables() < 4
+
+
+def test_height_law_accumulates_in_one_table():
+    # One int32 table of differences and its bool mask (1.25 tables); two
+    # height gathers and their sum peaked at 2.25.
+    assert _height_law_peak_tables() < 1.5
 
 # ----- the shared cover matrix ------------------------------------------------
 

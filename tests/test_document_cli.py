@@ -24,6 +24,7 @@ from latlab import (
     document_from_lattice,
     document_to_lattice,
     lattice_to_dot,
+    lattice_to_json,
     parse_document,
     pentagon_n5,
 )
@@ -31,7 +32,7 @@ from latlab import Law, witness
 from latlab.cli import _report_json, _requested_laws, build_parser, main
 from latlab.witness import LAWS, law_checker
 
-from oracles import json_dumps_document
+from oracles import json_dumps_document, pairwise_document_json, pairwise_lattice_to_dot
 
 
 # ----- documents ------------------------------------------------------------
@@ -124,6 +125,83 @@ def test_dot_export_shape(fano):
 def test_dot_escapes_quotes():
     lat = build_lattice(["lo", 'hi"x'], [(0, 1)])
     assert '"hi\\"x"' in lattice_to_dot(lat)
+
+
+def test_dot_keeps_non_ascii_labels_raw():
+    # DOT escapes only backslash and quote; json would write \u00e9.
+    lat = build_lattice(["lo", "\u00e9\\"], [(0, 1)])
+    assert lattice_to_dot(lat).endswith('  "lo" -> "\u00e9\\\\";\n}\n')
+
+
+@st.composite
+def labelled_lattices(draw):
+    """The down-set lattice of a random poset on up to five elements, its
+    elements shuffled and labelled with drawn, distinct labels.  With no
+    poset element it has one element and no cover pair."""
+    m = draw(st.integers(0, 5))
+    below = [draw(st.integers(0, (1 << e) - 1)) for e in range(m)]  # e' < e only
+    sets = [s for s in range(1 << m) if all(not s >> e & 1 or below[e] & ~s == 0 for e in range(m))]
+    perm = draw(st.permutations(range(len(sets))))
+    labels = draw(st.lists(_labels, min_size=len(sets), max_size=len(sets), unique=True))
+    pairs = [(perm[i], perm[j]) for i, a in enumerate(sets) for j, b in enumerate(sets)
+             if a & ~b == 0 and bin(b).count("1") == bin(a).count("1") + 1]
+    return build_lattice(labels, pairs, name=draw(_labels))
+
+
+@settings(max_examples=150)
+@given(labelled_lattices(), _labels)
+def test_writers_match_the_pairwise_writers_byte_for_byte(lat, name):
+    expected = pairwise_document_json(lat)
+    assert lattice_to_json(lat) == expected
+    assert document_from_lattice(lat).to_json() == expected
+    assert lattice_to_json(lat, name=name) == pairwise_document_json(lat, name)
+    assert lattice_to_dot(lat) == pairwise_lattice_to_dot(lat)
+
+
+def test_writers_match_on_one_element_and_at_the_element_cap():
+    one = build_lattice(["\x00\"\\\u00e9"], [])
+    for lat in (one, boolean_lattice(12)):
+        assert lattice_to_json(lat) == pairwise_document_json(lat)
+        assert lattice_to_dot(lat) == pairwise_lattice_to_dot(lat)
+
+
+_GOOD_PAIRS = [[f"e{i}", f"e{i + 1}"] for i in range(1000)]
+
+
+@pytest.mark.parametrize("bad", [{"child": "e0"}, ["e0", "e1", "e2"], ["e0", 7]],
+                         ids=["dict", "three_list", "non_string_label"])
+def test_parse_names_the_first_bad_order_entry_after_good_ones(bad):
+    text = json.dumps({"elements": [], "order": [*_GOOD_PAIRS, bad, ["e0"], {"x": 1}]})
+    with pytest.raises(DocumentError) as exc:
+        parse_document(text)
+    assert str(exc.value) == f"order entry {bad!r} is not a label pair"
+
+
+def test_document_to_lattice_names_an_unknown_child_before_its_parent():
+    elements = tuple(f"e{i}" for i in range(1001))
+    order = tuple(map(tuple, _GOOD_PAIRS))
+    for pair, named in [(("x", "y"), "x"), (("e0", "y"), "y"), (("x", "e0"), "x")]:
+        doc = LatticeDocument("d", elements, (*order, pair, ("z", "w")))
+        with pytest.raises(DocumentError, match=f"^order references unknown element '{named}'$"):
+            document_to_lattice(doc)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(0, 1), (1, 3), (-1, 0)], "order pair (1, 3) out of range"),
+    ([(0, 1), (-1, 9), (1, 3)], "order pair (-1, 9) out of range"),
+    (np.array([[0, 1], [2, 0], [0, 3]]), "order pair (0, 3) out of range"),
+])
+def test_build_lattice_names_the_first_pair_out_of_range(pairs, message):
+    with pytest.raises(ValueError) as exc:
+        build_lattice(["a", "b", "c"], pairs)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("pairs", [[(0, 1), (0.5, 1)], [(10**30, 0)]], ids=["float", "huge"])
+def test_build_lattice_rejects_pairs_that_are_not_integer_indexes(pairs):
+    # Neither is truncated into some other, valid pair.
+    with pytest.raises(ValueError, match="^order pairs must be integer indexes"):
+        build_lattice(["a", "b"], pairs)
 
 
 # ----- command-line interface ------------------------------------------------
