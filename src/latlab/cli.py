@@ -68,75 +68,39 @@ def _read_document(path: str) -> LatticeDocument:
     return load_document(path)
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
-def _report_json(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for a tree of dicts
-    with string keys, lists, tuples and JSON scalars.
-
-    json's indented encoder runs in Python, so the layout is joined here, as
-    in ``document._document_json``, around one ``%s`` per key, scalar and
-    empty container; then one compact ``json.dumps`` call, which runs in C,
-    escapes them all.  Its item separator is a NUL, which JSON text never
-    holds raw.
-    """
-    if not (isinstance(value, _CONTAINERS) and value):
-        return json.dumps(value)
-    leaves: list = []
-    layout = _layout(value, "", leaves)
-    return layout % tuple(json.dumps(leaves, separators=("\0", ": "))[1:-1].split("\0"))
-
-
-def _layout(value, indent: str, leaves: list) -> str:
-    """The layout of a non-empty container, with its keys and leaves
-    appended to ``leaves`` in the order of their ``%s``."""
-    inner = indent + "  "
-    items = []
-    if isinstance(value, dict):
-        for key, child in sorted(value.items()):
-            leaves.append(key)
-            if isinstance(child, _CONTAINERS) and child:
-                items.append("%s: " + _layout(child, inner, leaves))
-            else:
-                leaves.append(child)
-                items.append("%s: %s")
-        opener, closer = "{", "}"
-    else:
-        for child in value:
-            if isinstance(child, _CONTAINERS) and child:
-                items.append(_layout(child, inner, leaves))
-            else:
-                leaves.append(child)
-                items.append("%s")
-        opener, closer = "[", "]"
-    return f"{opener}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closer}"
-
-
 def _emit_report(body: dict, elapsed_ms: float, out: str | None) -> None:
     payload = {"report": body, "timing_ms": round(elapsed_ms, 3)}
-    _emit(_report_json(payload) + "\n", out)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+
+
+# Each kind maps to the flags it requires and to a call of its generator or
+# pipeline, made through this module's name so a traced or patched name is
+# the one that runs.
+_GEN_KINDS = {
+    "boolean": (("n",), lambda args: boolean_lattice(args.n)),
+    "subspace": (("n", "q"), lambda args: subspace_lattice(args.n, args.q)),
+    "m3": ((), lambda args: diamond_m3()),
+    "n5": ((), lambda args: pentagon_n5()),
+    "chain": (("n",), lambda args: chain(args.n)),
+}
+_PIPELINES = {
+    "boolean": (("n",), lambda args: verify_boolean_pipeline(args.n)),
+    "projective": (("n", "q"), lambda args: verify_projective_pipeline(args.n, args.q)),
+}
+_PIPELINE_ALIASES = {"s5": "boolean", "s7": "projective"}
+
+
+def _run_kind(table: dict, command: str, kind: str, args):
+    """Run ``kind``'s entry of ``table``, or name the flags it misses."""
+    needs, run = table[kind]
+    missing = [f"--{flag}" for flag in needs if getattr(args, flag) is None]
+    if missing:
+        raise _UsageError(f"{command} {kind} requires {' and '.join(missing)}")
+    return run(args)
 
 
 def _cmd_gen(args) -> int:
-    kind = args.kind
-    if kind == "boolean":
-        if args.n is None:
-            raise _UsageError("gen boolean requires --n")
-        lat = boolean_lattice(args.n)
-    elif kind == "subspace":
-        if args.n is None or args.q is None:
-            raise _UsageError("gen subspace requires --n and --q")
-        lat = subspace_lattice(args.n, args.q)
-    elif kind == "chain":
-        if args.n is None:
-            raise _UsageError("gen chain requires --n")
-        lat = chain(args.n)
-    elif kind == "m3":
-        lat = diamond_m3()
-    else:
-        lat = pentagon_n5()
-    _emit(lattice_to_json(lat), args.out)
+    _emit(lattice_to_json(_run_kind(_GEN_KINDS, "gen", args.kind, args)), args.out)
     return 0
 
 
@@ -165,17 +129,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
-    token = args.pipeline
-    if token in ("boolean", "s5"):
-        if args.n is None:
-            raise _UsageError("verify boolean requires --n")
-        report = verify_boolean_pipeline(args.n)
-    elif token in ("projective", "s7"):
-        if args.n is None:
-            raise _UsageError("verify projective requires --n")
-        if args.q is None:
-            raise _UsageError("verify projective requires --q")
-        report = verify_projective_pipeline(args.n, args.q)
+    pipeline = _PIPELINE_ALIASES.get(args.pipeline, args.pipeline)
+    report = _run_kind(_PIPELINES, "verify", pipeline, args)
     body = {"command": "verify", **report.to_dict()}
     _emit_report(body, (time.perf_counter() - started) * 1000.0, args.out)
     return 0 if report.passed else 1
@@ -203,9 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a lattice document")
-    p_gen.add_argument(
-        "kind", choices=("boolean", "subspace", "m3", "n5", "chain")
-    )
+    p_gen.add_argument("kind", choices=tuple(_GEN_KINDS))
     p_gen.add_argument("--n", type=int, default=None)
     p_gen.add_argument("--q", type=int, default=None)
     p_gen.add_argument("--out", default=None)
@@ -219,9 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=_cmd_check)
 
     p_verify = sub.add_parser("verify", help="run an end-to-end pipeline")
-    p_verify.add_argument(
-        "pipeline", choices=("boolean", "projective", "s5", "s7")
-    )
+    p_verify.add_argument("pipeline", choices=(*_PIPELINES, *_PIPELINE_ALIASES))
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--q", type=int, default=None)
     p_verify.add_argument("--out", default=None)

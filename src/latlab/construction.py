@@ -917,16 +917,10 @@ Stage = tuple[str, bool, str]
 
 
 def _split_witness_exists(lat: FiniteLattice, e: ElementId, hb: int, hc: int) -> bool:
-    hs = lat.heights
-    for x in lat.at_height(hb):
-        hits = (
-            (hs == hc)
-            & (lat.join_table[x] == e)
-            & (lat.meet_table[x] == lat.bottom)
-        )
-        if hits.any():
-            return True
-    return False
+    # A list, not the tuple: a tuple index would read one entry of a table.
+    xs = list(lat.at_height(hb))
+    hits = (lat.heights == hc) & (lat.join_table[xs] == e) & (lat.meet_table[xs] == lat.bottom)
+    return bool(hits.any())
 
 
 def _all_splits_realizable(structure, lat, mapping) -> tuple[bool, str]:

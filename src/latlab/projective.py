@@ -73,13 +73,11 @@ def check_p2(view: GeometryView) -> LawReport:
 
 def check_p3_third_point(view: GeometryView) -> LawReport:
     """Every line carries at least three points."""
-    lat = view.lattice
-    atom_mask = np.zeros(lat.size, dtype=bool)
-    atom_mask[list(view.points)] = True
-    for line in view.lines:
-        count = int((atom_mask & lat.leq[:, line]).sum())
-        if count < 3:
-            return LawReport(Law.THIRD_POINT, False, (line,), f"{count} points")
+    counts = np.count_nonzero(view.lattice.leq[np.ix_(view.points, view.lines)], axis=0)
+    short = np.flatnonzero(counts < 3)
+    if short.size:
+        first = int(short[0])
+        return LawReport(Law.THIRD_POINT, False, (view.lines[first],), f"{counts[first]} points")
     return LawReport(Law.THIRD_POINT, True)
 
 
@@ -181,10 +179,13 @@ _BVN_CLAUSES = (
 
 def verify_bvn_characterization(lat: FiniteLattice, n: int) -> CharacterizationReport:
     """Check the full profile: modular, atomic, perspective atoms, top height
-    n, and the incidence axioms with n-point spanning.  Never raises; clauses
-    that cannot even be evaluated are reported as failing."""
+    n, and the incidence axioms with n-point spanning.  Raises ValueError for
+    n < 0, before any clause runs; otherwise never raises, and clauses that
+    cannot even be evaluated are reported as failing."""
     from .witness import law_checker  # witness imports this module
 
+    if n < 0:
+        raise ValueError(f"the characterization needs n >= 0, got n={n}")
     clauses: dict[str, LawReport] = {}
     check = law_checker(lat, n)
     for name, law in _BVN_CLAUSES:

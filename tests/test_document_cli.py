@@ -1,3 +1,4 @@
+import argparse
 import gc
 import io
 import json
@@ -29,7 +30,8 @@ from latlab import (
     pentagon_n5,
 )
 from latlab import Law, witness
-from latlab.cli import _report_json, _requested_laws, build_parser, main
+from latlab import cli
+from latlab.cli import _requested_laws, build_parser, main
 from latlab.witness import LAWS, law_checker
 
 from oracles import json_dumps_document, pairwise_document_json, pairwise_lattice_to_dot
@@ -229,6 +231,44 @@ def test_gen_usage_and_bounds(tmp_path):
     assert main(["gen", "subspace", "--n", "2", "--q", "4"]) == 2  # not prime
     assert main(["gen", "chain", "--n", "1"]) == 2
     assert main(["gen", "pyramid"]) == 2  # unknown kind
+
+
+@pytest.mark.parametrize("argv, missing", [
+    ("gen boolean", "--n"),
+    ("gen chain --q 2", "--n"),
+    ("gen subspace", "--n and --q"),
+    ("gen subspace --n 3", "--q"),
+    ("gen subspace --q 2", "--n"),
+    ("verify boolean --q 2", "--n"),
+    ("verify s5", "--n"),
+    ("verify projective", "--n and --q"),
+    ("verify projective --n 3", "--q"),
+    ("verify s7 --q 2", "--n"),
+    ("verify s7", "--n and --q"),
+])
+def test_missing_flags_exit_2_naming_only_those_flags(argv, missing, monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("a generator or pipeline ran")
+
+    for name in ("boolean_lattice", "subspace_lattice", "chain",
+                 "verify_boolean_pipeline", "verify_projective_pipeline"):
+        monkeypatch.setattr(cli, name, no_work)
+    command, kind = argv.split()[:2]
+    kind = {"s5": "boolean", "s7": "projective"}.get(kind, kind)
+    assert main(argv.split()) == 2
+    assert capsys.readouterr().err == f"latlab: {command} {kind} requires {missing}\n"
+
+
+def test_parser_choices_are_the_command_tables():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+
+    def choices(command, dest):
+        (action,) = [a for a in commands.choices[command]._actions if a.dest == dest]
+        return list(action.choices)
+
+    assert choices("gen", "kind") == list(cli._GEN_KINDS)
+    assert choices("verify", "pipeline") == [*cli._PIPELINES, *cli._PIPELINE_ALIASES]
+    assert set(cli._PIPELINE_ALIASES.values()) <= set(cli._PIPELINES)
 
 
 def test_check_passes_and_fails_by_exit_code(tmp_path, capsys):
@@ -546,25 +586,7 @@ def test_a_classified_failure_keeps_the_lattice_in_no_cycle():
         gc.enable()
 
 
-# ----- reports in the joined layout -------------------------------------------
-
-
-_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _labels)
-_report_trees = st.recursive(
-    _leaves,
-    lambda kids: st.one_of(
-        st.lists(kids, max_size=4),
-        st.lists(kids, max_size=3).map(tuple),
-        st.dictionaries(_labels, kids, max_size=4),
-    ),
-    max_leaves=24,
-)
-
-
-@given(_report_trees)
-@example({"a": {}, "b": [], "c": [{}], "d": [[], {"e": ()}]})  # empty containers
-def test_report_writer_matches_the_json_encoder_byte_for_byte(tree):
-    assert _report_json(tree) == json.dumps(tree, indent=2, sort_keys=True)
+# ----- reports --------------------------------------------------------------
 
 
 @pytest.mark.parametrize("argv", [["check", "FANO", "--laws", "all"],

@@ -172,6 +172,18 @@ def test_characterization_classifies_the_lattice_once(fano, monkeypatch):
     assert calls == [fano, fano]
 
 
+def test_characterization_rejects_a_negative_rank_before_any_clause(fano, monkeypatch):
+    from latlab import witness
+
+    def no_clause(lat, n):
+        raise AssertionError("a clause ran")
+
+    monkeypatch.setattr(witness, "law_checker", no_clause)
+    for lat in (fano, pentagon_n5()):
+        with pytest.raises(ValueError, match=r"^the characterization needs n >= 0, got n=-1$"):
+            verify_bvn_characterization(lat, -1)
+
+
 def test_characterization_wrong_height(fano):
     report = verify_bvn_characterization(fano, 2)
     assert set(report.failing()) == {"top_height", "spanning"}
