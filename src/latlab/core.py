@@ -1,9 +1,9 @@
 """Finite bounded lattices with explicit order and bound tables.
 
-A :class:`FiniteLattice` stores element labels, the full ``leq`` relation as a
+A :class:`FiniteLattice` stores element labels, the ``leq`` relation as a
 boolean matrix, the global bottom and top, and, once first needed, its
-element heights, the elements of each height, cover matrix and total
-meet/join tables.
+element heights, the elements of each height, cover matrix, cover pairs and
+total meet/join tables.
 Elements are addressed by index (``ElementId``); labels exist for rendering.
 Instances are immutable after construction: all arrays are marked read-only.
 
@@ -30,12 +30,13 @@ When a kernel finds a pair without a bound, :func:`_raise_missing_bound`
 names the lexicographically first one from up-set and down-set bit rows,
 without building a table.
 Generators elsewhere in the package reuse :class:`FiniteLattice` directly,
-seeding closed-form heights and covers, and closed-form tables as forms
-evaluated on first read; any other lattice derives heights and covers from
-``leq`` with the same pass, on first use.
+seeding closed-form heights, and closed forms of ``leq``, the cover pairs
+and the tables that are evaluated on first read, so a reader of the cover
+pairs alone builds no n x n matrix; any other lattice derives heights and
+covers from ``leq`` with the same pass, on first use.
 The law deciders' premise, :meth:`FiniteLattice.tables_match_order`,
-recomputes the order and every table passed in or seeded with the same
-algorithms and compares.
+recomputes the order, the cover pairs and every table passed in or seeded
+with the same algorithms and compares.
 """
 
 from __future__ import annotations
@@ -187,21 +188,23 @@ class FiniteLattice:
         self.labels = tuple(str(lab) for lab in labels)
         self.size = len(self.labels)
         self.name = name or f"lattice{self.size}"
-        self.leq = np.ascontiguousarray(leq, dtype=bool)
-        self.leq.setflags(write=False)
+        # ``leq`` may be None only when a constructor seeds it as a form.
+        if leq is not None:
+            self.leq = np.ascontiguousarray(leq, dtype=bool)
+            self.leq.setflags(write=False)
         self.bottom = int(bottom)
         self.top = int(top)
-        # Tables passed in or seeded as forms are the premise's to check; the
-        # others are derived on first read from the lattice's own covers and
-        # heights.
-        self._given_tables: list[str] = []
-        self._table_forms: dict[str, Callable[[], np.ndarray]] = {}
+        # Tables passed in and cover pairs or tables seeded as forms are the
+        # premise's to check; the others are derived on first read from the
+        # lattice's own covers and heights.
+        self._given: set[str] = set()
+        self._forms: dict[str, Callable] = {}
         for attr, table in (("meet_table", meet_table), ("join_table", join_table)):
             if table is not None:
                 table = np.ascontiguousarray(table, dtype=np.int32)
                 table.setflags(write=False)
                 setattr(self, attr, table)
-                self._given_tables.append(attr)
+                self._given.add(attr)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         self._tables_match_order: bool | None = None
         self._at_height: dict[int, tuple[ElementId, ...]] = {}
@@ -220,6 +223,29 @@ class FiniteLattice:
 
     def join(self, x: ElementId, y: ElementId) -> ElementId:
         return int(self.join_table[x, y])
+
+    def _seed_forms(self, **forms: Callable) -> None:
+        """Seed closed forms of ``leq``, ``cover_pairs``, ``meet_table`` or
+        ``join_table``, each returning arrays of its attribute's type and
+        evaluated, then frozen, on its first read.  Seeded cover pairs
+        and tables count as given: the premise re-derives and compares them,
+        and ``leq`` it always checks."""
+        self._forms.update(forms)
+        self._given.update(forms.keys() - {"leq"})
+
+    def _evaluate(self, attr: str, derive: Callable | None = None):
+        """The form seeded for ``attr``, or else ``derive``, called once;
+        every array it returns is made read-only."""
+        value = self._forms.pop(attr, derive)()
+        for arr in value if isinstance(value, tuple) else (value,):
+            arr.setflags(write=False)
+        return value
+
+    @functools.cached_property
+    def leq(self) -> np.ndarray:
+        """Read-only order matrix, [x, y] iff x <= y: passed in, or evaluated
+        on first read from a seeded form."""
+        return self._evaluate("leq")
 
     @functools.cached_property
     def _derived_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -270,21 +296,34 @@ class FiniteLattice:
     def covers(self) -> np.ndarray:
         """Read-only cover matrix: [x, y] iff x < y with nothing between.
 
-        Computed on first use, unless a constructor that already knows it
-        seeded it, and shared by every caller.  ``leq`` is read as a
-        generating relation, so only its given pairs can be covers.  Raises
-        NotAPartialOrder when ``leq`` has a cycle.
+        Set from seeded cover pairs or computed on first use, unless a
+        constructor that already knows it seeded it, and shared by every
+        caller.  ``leq`` is read as a generating relation, so only its given
+        pairs can be covers.  Raises NotAPartialOrder when ``leq`` has a
+        cycle.
         """
-        return self._derived_order[1]
+        if "cover_pairs" not in self._given:
+            return self._derived_order[1]
+        covers = np.zeros((self.size, self.size), dtype=bool)
+        covers[self.cover_pairs] = True
+        covers.setflags(write=False)
+        return covers
 
     def _set_covers(self, covers: np.ndarray) -> None:
         covers.setflags(write=False)
         self.covers = covers
 
+    @functools.cached_property
+    def cover_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only index arrays (xs, ys) of the cover pairs in row-major
+        order: evaluated on first read from a seeded form, or read off
+        ``covers``."""
+        return self._evaluate("cover_pairs", lambda: _pairs(self.covers))
+
     def upper_neighbors(self) -> list[tuple[ElementId, ElementId]]:
         """Cover pairs (x, y): x < y with nothing strictly between, in
         ascending (x, y) order."""
-        xs, ys = _pairs(self.covers)
+        xs, ys = self.cover_pairs
         return list(zip(xs.tolist(), ys.tolist()))
 
     @functools.cached_property
@@ -293,27 +332,13 @@ class FiniteLattice:
         seeded form, or derived on first read by :func:`_least_upper_bounds`
         over the dual of the lattice's covers and heights.  Raises
         NotALattice when some pair has no meet."""
-        return self._table("meet_table", meet=True)
+        return self._evaluate("meet_table", lambda: self._derived_table(meet=True))
 
     @functools.cached_property
     def join_table(self) -> np.ndarray:
         """Read-only join table: passed in, seeded or derived like
         ``meet_table``.  Raises NotALattice when some pair has no join."""
-        return self._table("join_table", meet=False)
-
-    def _set_table_forms(self, meet: Callable[[], np.ndarray], join: Callable[[], np.ndarray]) -> None:
-        """Seed closed-form tables, each evaluated on its first read.  They
-        count as given: the premise re-derives and compares both."""
-        self._table_forms = {"meet_table": meet, "join_table": join}
-        self._given_tables = ["meet_table", "join_table"]
-
-    def _table(self, attr: str, meet: bool) -> np.ndarray:
-        form = self._table_forms.pop(attr, None)
-        if form is None:
-            return self._derived_table(meet)
-        table = np.ascontiguousarray(form(), dtype=np.int32)
-        table.setflags(write=False)
-        return table
+        return self._evaluate("join_table", lambda: self._derived_table(meet=False))
 
     def _bounds(self, meet: bool) -> np.ndarray | None:
         """Join table, or the meet table as the joins of the dual order (its
@@ -327,12 +352,12 @@ class FiniteLattice:
         table = self._bounds(meet)
         if table is None:
             _raise_missing_bound(self.leq, self.heights, self.labels)
-        table.setflags(write=False)
         return table
 
     def tables_match_order(self) -> bool:
         """True iff ``leq`` is a partial order whose bounds, covers and
-        heights are the stored tables, covers and heights.
+        heights are the stored tables, covers and heights, and whose cover
+        pairs, when seeded, are its own in row-major order.
 
         Recomputed once per object by :func:`_order` and, for each table
         passed in or seeded as a form, :func:`_least_upper_bounds`; a table
@@ -356,9 +381,12 @@ class FiniteLattice:
             and np.array_equal(heights, self.heights)
         ):
             return False
+        # Seeded pairs must be the derived ones, order and count included.
+        if "cover_pairs" in self._given and not all(map(np.array_equal, _pairs(covers), self.cover_pairs)):
+            return False
         self._derived_order = (self.leq, self.covers, self.heights)  # equal: drop the copies
         for meet, attr in ((False, "join_table"), (True, "meet_table")):
-            if attr in self._given_tables:
+            if attr in self._given:
                 table = self._bounds(meet)
                 if table is None or not np.array_equal(table, getattr(self, attr)):
                     return False

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteLattice, _pairs, build_lattice
+from .core import FiniteLattice, build_lattice
 from .errors import DocumentError
 
 
@@ -127,7 +127,7 @@ def lattice_to_json(lat: FiniteLattice, name: str | None = None) -> str:
     cover pairs' index arrays with no Python object per pair."""
     quoted = _quoted(list(lat.labels))
     labels = np.array(quoted, dtype=object)
-    xs, ys = _pairs(lat.covers)
+    xs, ys = lat.cover_pairs
     name = lat.name if name is None else name
     return _document_json(name, quoted, labels[xs].tolist(), labels[ys].tolist())
 
@@ -149,6 +149,6 @@ def lattice_to_dot(lat: FiniteLattice) -> str:
     ranked = labels[ranked].tolist()
     lines = ["digraph lattice {", "  rankdir=BT;"]
     lines += ["  { rank=same; " + "; ".join(ranked[a:b]) + "; }" for a, b in zip(cuts, cuts[1:])]
-    xs, ys = _pairs(lat.covers)
+    xs, ys = lat.cover_pairs
     edges = _joined_pairs(labels[xs].tolist(), labels[ys].tolist(), "  ", " -> ", ";\n")
     return "\n".join(lines) + "\n" + edges + "}\n"

@@ -3,16 +3,17 @@
 Powerset (boolean) lattices, subspace lattices of prime-field vector spaces,
 and the small named fixtures: the diamond M3, the pentagon N5, and chains.
 Boolean lattices, subspace lattices and chains come with closed-form
-heights (subset size, dimension, index) and covers (all three are graded,
-so x is covered by y iff x <= y and y is one rank higher).  Boolean and
-chain tables are closed forms too (bitwise and/or, min/max), seeded as
-forms and evaluated on first read, so writing a document never builds
-them; the premise still re-derives and compares both.  Subspace spans are
-integer array products, containment is a gather of each basis row's
-membership bits, and subspace tables come from core's bound derivation
-over that order.  Only M3 and N5 take the validating path
-through build_lattice.  Every generator checks its size before it builds
-anything.
+heights (subset size, dimension, index).  Boolean lattices and chains seed
+everything else as forms, evaluated on first read: the order (block-doubled
+inclusion, i <= j), the cover pairs (x below x | 1 << i for each bit i unset
+in x; i below i + 1), and the tables (bitwise and/or, min/max).  Writing a
+document reads only the cover pairs, so it builds no n x n matrix; the
+premise still re-derives and compares the order, covers and tables.
+Subspace spans are integer array products, containment is a gather of each
+basis row's membership bits, covers are the graded ones (x <= y, one
+dimension higher), and subspace tables come from core's bound derivation
+over that order.  Only M3 and N5 take the validating path through
+build_lattice.  Every generator checks its size before it builds anything.
 """
 
 from __future__ import annotations
@@ -45,23 +46,37 @@ def boolean_lattice(n: int) -> FiniteLattice:
         inner += [f"{s},{c}" if s else c for s in inner]
     labels = ["{" + s + "}" for s in inner]
     idx = np.arange(size, dtype=np.int32)
-    # Subsets of the first i + 1 letters: a set without letter i lies below
-    # a set with it iff it lies below that set minus the letter, and a set
-    # with it lies below only the sets with it.
+    heights = sum((idx >> i) & 1 for i in range(n)).astype(np.int32)
+    lat = FiniteLattice(labels, None, 0, size - 1, name=f"B_{n}")
+    lat._set_heights(heights)
+    lat._seed_forms(
+        leq=lambda: _subset_order(n),
+        cover_pairs=lambda: _subset_covers(idx, n),
+        meet_table=lambda: idx[:, None] & idx[None, :],
+        join_table=lambda: idx[:, None] | idx[None, :],
+    )
+    return lat
+
+
+def _subset_order(n: int) -> np.ndarray:
+    """Inclusion of the subsets of n letters, by block doubling: a set
+    without letter i lies below a set with it iff it lies below that set
+    minus the letter, and a set with it lies below only the sets with it."""
+    size = 1 << n
     leq = np.zeros((size, size), dtype=bool)
     leq[0, 0] = True
-    covers = np.zeros((size, size), dtype=bool)
     for i in range(n):
         h = 1 << i
         leq[:h, h : 2 * h] = leq[h : 2 * h, h : 2 * h] = leq[:h, :h]
-        below = idx[idx & h == 0]
-        covers[below, below | h] = True
-    heights = sum((idx >> i) & 1 for i in range(n)).astype(np.int32)
-    lat = FiniteLattice(labels, leq, 0, size - 1, name=f"B_{n}")
-    lat._set_heights(heights)
-    lat._set_covers(covers)
-    lat._set_table_forms(lambda: idx[:, None] & idx[None, :], lambda: idx[:, None] | idx[None, :])
-    return lat
+    return leq
+
+
+def _subset_covers(idx: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cover pairs (x, x | 1 << i) over bits i unset in x, in row-major
+    order: x ascending, then i ascending, which orders each row's y."""
+    bits = 1 << np.arange(n, dtype=np.int32)
+    free = (idx[:, None] & bits) == 0
+    return np.broadcast_to(idx[:, None], free.shape)[free], (idx[:, None] | bits)[free]
 
 
 def _is_prime(q: int) -> bool:
@@ -198,9 +213,12 @@ def chain(k: int) -> FiniteLattice:
     if k > cap:
         raise SizeBound(f"{k} elements exceeds the cap of {cap}")
     idx = np.arange(k, dtype=np.int32)
-    leq = idx[:, None] <= idx[None, :]
-    lat = FiniteLattice([str(i) for i in range(k)], leq, 0, k - 1, name=f"chain_{k}")
+    lat = FiniteLattice([str(i) for i in range(k)], None, 0, k - 1, name=f"chain_{k}")
     lat._set_heights(idx)
-    lat._set_covers(_graded_covers(leq, idx))
-    lat._set_table_forms(lambda: np.minimum.outer(idx, idx), lambda: np.maximum.outer(idx, idx))
+    lat._seed_forms(
+        leq=lambda: idx[:, None] <= idx[None, :],
+        cover_pairs=lambda: (idx[:-1], idx[1:]),
+        meet_table=lambda: np.minimum.outer(idx, idx),
+        join_table=lambda: np.maximum.outer(idx, idx),
+    )
     return lat

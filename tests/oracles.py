@@ -13,7 +13,9 @@ row cut replaced, and the height-law scan keeps the ``argwhere`` first hit
 that ``props._first`` replaced; they read whatever tables and order a lattice carries, forged or
 not, and are the reference those fast paths must match exactly.  The
 order-derivation section freezes the squaring closure, square-read covers
-and argsort heights that ``core._order`` replaced.  The write-path section
+and argsort heights that ``core._order`` replaced, and the generator
+section the eager order and cover matrices of ``boolean_lattice`` and
+``chain`` that their closed forms replaced.  The write-path section
 freezes the ``argwhere`` cover pairs and the ``json.dumps`` document body
 that ``upper_neighbors`` and ``LatticeDocument.to_json`` replaced, and the
 writers of one label tuple, f-string and lookup per cover pair that the
@@ -664,6 +666,35 @@ def squaring_order(rel, labels):
             f"{labels[i]!r} and {labels[j]!r} lie on a cycle", witness=(i, j)
         )
     return leq, _covers_from_square(leq, square), _longest_chain_heights(leq)
+
+
+# ----- generator order reference --------------------------------------------
+#
+# Frozen copies of the order and cover matrices that ``boolean_lattice`` and
+# ``chain`` built eagerly before both became closed forms read on demand.
+
+
+def doubling_boolean_order(n):
+    """(leq, covers) of B_n, masks as elements, by block doubling: subsets
+    of the first i + 1 letters from those of the first i."""
+    size = 1 << n
+    idx = np.arange(size, dtype=np.int32)
+    leq = np.zeros((size, size), dtype=bool)
+    leq[0, 0] = True
+    covers = np.zeros((size, size), dtype=bool)
+    for i in range(n):
+        h = 1 << i
+        leq[:h, h : 2 * h] = leq[h : 2 * h, h : 2 * h] = leq[:h, :h]
+        below = idx[idx & h == 0]
+        covers[below, below | h] = True
+    return leq, covers
+
+
+def graded_chain_order(k):
+    """(leq, covers) of the k-chain: i <= j, and j one rank above i."""
+    idx = np.arange(k, dtype=np.int32)
+    leq = idx[:, None] <= idx[None, :]
+    return leq, leq & (idx[None, :] == idx[:, None] + 1)
 
 
 # ----- bound-table and law-decider reference scans --------------------------

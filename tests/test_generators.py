@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,19 +15,23 @@ from latlab import (
     is_distributive,
     is_modular,
     is_perspective_lattice,
+    lattice_to_json,
     pentagon_n5,
     subspace_lattice,
 )
-from latlab import core, generators
+from latlab import core, generators, props
 from latlab.cli import main
 from latlab.limits import MAX_VECTORS, element_cap
 
 from oracles import (
     count_subsets,
+    doubling_boolean_order,
     enumerate_subspaces,
     gaussian_binomial,
+    graded_chain_order,
     label_spans,
     scan_cover_matrix,
+    scan_distributive,
     scan_subspace_tables,
     subspace_dim,
 )
@@ -178,7 +184,14 @@ def _assert_premise_verified(lat):
 
 
 def _assert_seeded_covers(lat):
-    assert "covers" in vars(lat), lat.name  # seeded, not derived on demand
+    """Subspace lattices seed a cover matrix; boolean lattices and chains
+    seed cover pairs as a form, and set the matrix from them on first read."""
+    if lat.name.startswith("subspaces_"):
+        assert "covers" in vars(lat), lat.name  # seeded, not derived on demand
+    else:
+        assert "cover_pairs" in lat._forms, lat.name  # seeded as a form
+        assert all(not a.flags.writeable for a in lat.cover_pairs), lat.name
+        assert "covers" not in vars(lat), lat.name  # the pairs need no matrix
     assert not lat.covers.flags.writeable
     assert np.array_equal(lat.covers, scan_cover_matrix(lat.leq)), lat.name
 
@@ -228,6 +241,68 @@ def test_boolean_covers_are_seeded_in_closed_form():
         _assert_premise_verified(lat)
 
 
+# ----- closed-form order and cover pairs, evaluated on first read ------------
+
+
+def _assert_forms_equal_the_scans(lat, leq, covers):
+    assert "leq" not in vars(lat) and "cover_pairs" not in vars(lat), lat.name
+    assert not lat.leq.flags.writeable and lat.leq.dtype == bool, lat.name
+    assert np.array_equal(lat.leq, leq), lat.name
+    scanned = core._pairs(scan_cover_matrix(lat.leq))
+    assert all(np.array_equal(a, b) for a, b in zip(lat.cover_pairs, scanned, strict=True)), lat.name
+    assert np.array_equal(lat.covers, covers), lat.name
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_boolean_order_and_cover_pairs_equal_the_scans(n):
+    _assert_forms_equal_the_scans(boolean_lattice(n), *doubling_boolean_order(n))
+
+
+@pytest.mark.parametrize("ks", [range(2, 301), [4096]], ids=["2-300", "4096"])
+def test_chain_order_and_cover_pairs_equal_the_scans(ks):
+    for k in ks:
+        _assert_forms_equal_the_scans(chain(k), *graded_chain_order(k))
+
+
+def _forged_pairs(lat, how):
+    xs, ys = lat._forms["cover_pairs"]()
+    if how == "dropped":
+        return xs[1:], ys[1:]
+    if how == "swapped":
+        order = np.arange(len(xs))
+        order[[0, 1]] = order[[1, 0]]
+        return xs[order], ys[order]
+    return np.append(xs, xs[-1]), np.append(ys, ys[-1])  # one pair twice
+
+
+@pytest.mark.parametrize("how", ["dropped", "swapped", "extra"])
+@pytest.mark.parametrize("make", [lambda: boolean_lattice(3), lambda: chain(5)], ids=["B_3", "chain_5"])
+def test_forged_cover_pairs_fail_the_premise(how, make, monkeypatch):
+    lat = make()
+    forged = _forged_pairs(lat, how)
+    lat._seed_forms(cover_pairs=lambda: forged)
+    assert not lat.tables_match_order(), (lat.name, how)
+
+    def theorem(lat):
+        raise AssertionError("the theorem ran without its premise")
+
+    monkeypatch.setattr(props, "_join_irreducibles_are_prime", theorem)
+    report = is_distributive(lat)
+    assert report.holds and report == scan_distributive(lat), (lat.name, how)
+
+
+@pytest.mark.parametrize("args", [["boolean", "--n", "12"], ["chain", "--n", "4096"]])
+def test_gen_at_the_element_cap_builds_no_square_matrix(args, tmp_path):
+    out = tmp_path / "doc.json"
+    tracemalloc.start()
+    try:
+        assert main(["gen", *args, "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20  # one 4096 x 4096 bool matrix alone takes 16 MB
+
+
 # ----- closed-form tables, evaluated on first read ---------------------------
 
 
@@ -263,24 +338,24 @@ def test_a_forged_form_fails_the_premise():
     for make in (lambda: boolean_lattice(3), lambda: chain(5)):
         for attr in ("meet_table", "join_table"):
             lat = make()
-            forms = dict(lat._table_forms)
-            true = forms[attr]
+            true = lat._forms[attr]
 
             def forged(true=true, top=lat.size - 1):
                 table = true().copy()
                 table[0, 1] = top - table[0, 1]
                 return table
 
-            forms[attr] = forged
-            lat._set_table_forms(forms["meet_table"], forms["join_table"])
+            lat._seed_forms(**{attr: forged})
             assert not lat.tables_match_order(), (lat.name, attr)
 
 
 def test_writing_b12_reads_neither_table():
+    # Nor the order or cover matrix: both writers read only the cover pairs.
     lat = boolean_lattice(12)
-    text = document_from_lattice(lat).to_json()
+    text = lattice_to_json(lat)
     assert text.startswith('{\n  "elements": [\n    "{}",')
-    assert "meet_table" not in vars(lat) and "join_table" not in vars(lat)
+    assert text == document_from_lattice(lat).to_json()
+    assert not {"meet_table", "join_table", "leq", "covers"} & vars(lat).keys()
 
 
 @pytest.mark.parametrize("k", [2, 3, 64, 256])
