@@ -7,6 +7,10 @@ for usage errors, malformed input, or violated size bounds.
 Reports are emitted as JSON with a deterministic ``report`` body; wall-clock
 time lives in the separate ``timing_ms`` field so identical inputs produce
 byte-identical report bodies.
+
+Each command imports what it runs when it runs: ``check`` the law registry
+(props, witness), ``verify`` the construction engine, so ``gen`` and
+``export`` load neither.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ import functools
 import json
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from .construction import verify_boolean_pipeline, verify_projective_pipeline
+from . import generators
 from .document import (
     LatticeDocument,
     document_to_lattice,
@@ -27,9 +32,9 @@ from .document import (
     parse_document,
 )
 from .errors import LatticeError
-from .generators import boolean_lattice, chain, diamond_m3, pentagon_n5, subspace_lattice
-from .props import Law, LawReport
-from .witness import LAWS, law_checker
+
+if TYPE_CHECKING:
+    from .props import Law
 
 
 class _UsageError(Exception):
@@ -37,6 +42,9 @@ class _UsageError(Exception):
 
 
 def _requested_laws(requested: str, n: int | None) -> list[Law]:
+    from .props import Law
+    from .witness import LAWS
+
     tokens = [t.strip() for t in requested.split(",") if t.strip()]
     if not tokens:
         raise _UsageError("no laws requested")
@@ -49,8 +57,11 @@ def _requested_laws(requested: str, n: int | None) -> list[Law]:
                 f"unknown law {t!r}; choose from "
                 f"{', '.join(sorted(known))} or 'all'"
             )
-        if LAWS[Law(t)].needs_n and n is None:
+        needs_n = LAWS[Law(t)].needs_n
+        if needs_n and n is None:
             raise _UsageError(f"law {t!r} requires --n")
+        if needs_n and n < 0:
+            raise _UsageError(f"law {t!r} requires --n >= 0, got --n={n}")
     return [Law(t) for t in tokens]
 
 
@@ -73,44 +84,51 @@ def _emit_report(body: dict, elapsed_ms: float, out: str | None) -> None:
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
-# Each kind maps to the flags it requires and to a call of its generator or
-# pipeline, made through this module's name so a traced or patched name is
-# the one that runs.
+# Each kind maps to the flags it requires and to the name of its generator or
+# pipeline, which takes those flags' values in order.  The name is looked up
+# in its module at call time, so a traced or patched function is the one
+# that runs.
 _GEN_KINDS = {
-    "boolean": (("n",), lambda args: boolean_lattice(args.n)),
-    "subspace": (("n", "q"), lambda args: subspace_lattice(args.n, args.q)),
-    "m3": ((), lambda args: diamond_m3()),
-    "n5": ((), lambda args: pentagon_n5()),
-    "chain": (("n",), lambda args: chain(args.n)),
+    "boolean": (("n",), "boolean_lattice"),
+    "subspace": (("n", "q"), "subspace_lattice"),
+    "m3": ((), "diamond_m3"),
+    "n5": ((), "pentagon_n5"),
+    "chain": (("n",), "chain"),
 }
 _PIPELINES = {
-    "boolean": (("n",), lambda args: verify_boolean_pipeline(args.n)),
-    "projective": (("n", "q"), lambda args: verify_projective_pipeline(args.n, args.q)),
+    "boolean": (("n",), "verify_boolean_pipeline"),
+    "projective": (("n", "q"), "verify_projective_pipeline"),
 }
 _PIPELINE_ALIASES = {"s5": "boolean", "s7": "projective"}
 
 
-def _run_kind(table: dict, command: str, kind: str, args):
-    """Run ``kind``'s entry of ``table``, or name the flags it misses."""
-    needs, run = table[kind]
-    missing = [f"--{flag}" for flag in needs if getattr(args, flag) is None]
+def _run_kind(module, table: dict, command: str, kind: str, args):
+    """Run ``kind``'s entry of ``table`` from ``module``, or name the flags
+    it misses."""
+    needs, name = table[kind]
+    values = [getattr(args, flag) for flag in needs]
+    missing = [f"--{flag}" for flag, value in zip(needs, values) if value is None]
     if missing:
         raise _UsageError(f"{command} {kind} requires {' and '.join(missing)}")
-    return run(args)
+    return getattr(module, name)(*values)
 
 
 def _cmd_gen(args) -> int:
-    _emit(lattice_to_json(_run_kind(_GEN_KINDS, "gen", args.kind, args)), args.out)
+    _emit(lattice_to_json(_run_kind(generators, _GEN_KINDS, "gen", args.kind, args)), args.out)
     return 0
 
 
 def _cmd_check(args) -> int:
+    from .props import LawReport
+    from .witness import law_checker
+
     started = time.perf_counter()
+    laws = _requested_laws(args.laws, args.n)
     doc = _read_document(args.input)
     lat = document_to_lattice(doc)
     results = {}
     check = law_checker(lat, args.n)
-    for law in _requested_laws(args.laws, args.n):
+    for law in laws:
         try:
             report = check(law)
         except LatticeError as exc:
@@ -128,9 +146,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import construction
+
     started = time.perf_counter()
     pipeline = _PIPELINE_ALIASES.get(args.pipeline, args.pipeline)
-    report = _run_kind(_PIPELINES, "verify", pipeline, args)
+    report = _run_kind(construction, _PIPELINES, "verify", pipeline, args)
     body = {"command": "verify", **report.to_dict()}
     _emit_report(body, (time.perf_counter() - started) * 1000.0, args.out)
     return 0 if report.passed else 1

@@ -30,7 +30,7 @@ from latlab import (
     pentagon_n5,
 )
 from latlab import Law, witness
-from latlab import cli
+from latlab import cli, construction, generators
 from latlab.cli import _requested_laws, build_parser, main
 from latlab.witness import LAWS, law_checker
 
@@ -250,9 +250,12 @@ def test_missing_flags_exit_2_naming_only_those_flags(argv, missing, monkeypatch
     def no_work(*args):
         raise AssertionError("a generator or pipeline ran")
 
-    for name in ("boolean_lattice", "subspace_lattice", "chain",
-                 "verify_boolean_pipeline", "verify_projective_pipeline"):
-        monkeypatch.setattr(cli, name, no_work)
+    # The CLI looks each one up in its home module when it runs.
+    for module, names in ((generators, ("boolean_lattice", "subspace_lattice", "chain")),
+                          (construction, ("verify_boolean_pipeline",
+                                          "verify_projective_pipeline"))):
+        for name in names:
+            monkeypatch.setattr(module, name, no_work)
     command, kind = argv.split()[:2]
     kind = {"s5": "boolean", "s7": "projective"}.get(kind, kind)
     assert main(argv.split()) == 2
@@ -331,6 +334,19 @@ def test_spanning_at_n_0_and_below(tmp_path, capsys):
         assert captured.out == ""
         assert "spanning" in captured.err and "n=-1" in captured.err
 
+
+
+@pytest.mark.parametrize("law", ["spanning", "topheight"])
+def test_negative_n_exits_2_naming_the_flag_before_reading_the_document(law, tmp_path, capsys):
+    m3_path = _gen(tmp_path, "gen", "m3")
+    capsys.readouterr()
+    for path in (m3_path, str(tmp_path / "missing.json")):
+        assert main(["check", path, "--laws", law, "--n", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"latlab: law {law!r} requires --n >= 0, got --n=-5\n"
+    assert main(["check", str(tmp_path / "missing.json"), "--laws", "bogus"]) == 2
+    assert "unknown law 'bogus'" in capsys.readouterr().err
 
 def test_check_reads_stdin(tmp_path, capsys, monkeypatch):
     doc = document_from_lattice(boolean_lattice(2))
