@@ -30,10 +30,11 @@ When a kernel finds a pair without a bound, :func:`_raise_missing_bound`
 names the lexicographically first one from up-set and down-set bit rows,
 without building a table.
 Generators elsewhere in the package reuse :class:`FiniteLattice` directly,
-seeding closed-form heights, and closed forms of ``leq``, the cover pairs
-and the tables that are evaluated on first read, so a reader of the cover
-pairs alone builds no n x n matrix; any other lattice derives heights and
-covers from ``leq`` with the same pass, on first use.
+seeding in one :meth:`FiniteLattice._seed_forms` call the heights, covers,
+``leq``, cover pairs and tables they know, as arrays or as closed forms
+evaluated on first read, so a reader of the cover pairs alone builds no
+n x n matrix; any other lattice derives heights and covers from ``leq``
+with the same pass, on first use.
 The law deciders' premise, :meth:`FiniteLattice.tables_match_order`,
 recomputes the order, the cover pairs and every table passed in or seeded
 with the same algorithms and compares.
@@ -188,17 +189,17 @@ class FiniteLattice:
         self.labels = tuple(str(lab) for lab in labels)
         self.size = len(self.labels)
         self.name = name or f"lattice{self.size}"
-        # ``leq`` may be None only when a constructor seeds it as a form.
+        # ``leq`` may be None only when a constructor seeds it.
         if leq is not None:
             self.leq = np.ascontiguousarray(leq, dtype=bool)
             self.leq.setflags(write=False)
         self.bottom = int(bottom)
         self.top = int(top)
-        # Tables passed in and cover pairs or tables seeded as forms are the
-        # premise's to check; the others are derived on first read from the
+        # Tables passed in and seeded cover pairs or tables are the premise's
+        # to check; the others are derived on first read from the
         # lattice's own covers and heights.
         self._given: set[str] = set()
-        self._forms: dict[str, Callable] = {}
+        self._forms: dict = {}
         for attr, table in (("meet_table", meet_table), ("join_table", join_table)):
             if table is not None:
                 table = np.ascontiguousarray(table, dtype=np.int32)
@@ -224,19 +225,22 @@ class FiniteLattice:
     def join(self, x: ElementId, y: ElementId) -> ElementId:
         return int(self.join_table[x, y])
 
-    def _seed_forms(self, **forms: Callable) -> None:
-        """Seed closed forms of ``leq``, ``cover_pairs``, ``meet_table`` or
-        ``join_table``, each returning arrays of its attribute's type and
-        evaluated, then frozen, on its first read.  Seeded cover pairs
-        and tables count as given: the premise re-derives and compares them,
-        and ``leq`` it always checks."""
+    def _seed_forms(self, **forms) -> None:
+        """Seed what a constructor knows of ``heights``, ``covers``,
+        ``cover_pairs``, ``leq``, ``meet_table`` or ``join_table``: each the
+        attribute's arrays, or a closed form returning them that is
+        evaluated on first read.  Every array is frozen when first read.
+        Seeded cover pairs and tables count as given: the premise re-derives
+        and compares them, and ``leq``, covers and heights it always checks."""
         self._forms.update(forms)
-        self._given.update(forms.keys() - {"leq"})
+        self._given.update(forms.keys() & {"cover_pairs", "meet_table", "join_table"})
 
     def _evaluate(self, attr: str, derive: Callable | None = None):
-        """The form seeded for ``attr``, or else ``derive``, called once;
-        every array it returns is made read-only."""
-        value = self._forms.pop(attr, derive)()
+        """What was seeded for ``attr``, or else ``derive``, called once when
+        callable; every array it gives is made read-only."""
+        value = self._forms.pop(attr, derive)
+        if callable(value):
+            value = value()
         for arr in value if isinstance(value, tuple) else (value,):
             arr.setflags(write=False)
         return value
@@ -264,11 +268,7 @@ class FiniteLattice:
         seeded them, and shared by every caller.  Raises NotAPartialOrder
         when ``leq`` has a cycle.
         """
-        return self._derived_order[2]
-
-    def _set_heights(self, heights: np.ndarray) -> None:
-        heights.setflags(write=False)
-        self.heights = heights
+        return self._evaluate("heights", lambda: self._derived_order[2])
 
     def height(self, x: ElementId) -> int:
         """Length of the longest chain from bottom to x."""
@@ -296,22 +296,19 @@ class FiniteLattice:
     def covers(self) -> np.ndarray:
         """Read-only cover matrix: [x, y] iff x < y with nothing between.
 
-        Set from seeded cover pairs or computed on first use, unless a
-        constructor that already knows it seeded it, and shared by every
-        caller.  ``leq`` is read as a generating relation, so only its given
-        pairs can be covers.  Raises NotAPartialOrder when ``leq`` has a
-        cycle.
+        Seeded, set from seeded cover pairs, or computed on first use, and
+        shared by every caller.  ``leq`` is read as a generating relation, so
+        only its given pairs can be covers.  Raises NotAPartialOrder when
+        ``leq`` has a cycle.
         """
+        return self._evaluate("covers", self._unseeded_covers)
+
+    def _unseeded_covers(self) -> np.ndarray:
         if "cover_pairs" not in self._given:
             return self._derived_order[1]
         covers = np.zeros((self.size, self.size), dtype=bool)
         covers[self.cover_pairs] = True
-        covers.setflags(write=False)
         return covers
-
-    def _set_covers(self, covers: np.ndarray) -> None:
-        covers.setflags(write=False)
-        self.covers = covers
 
     @functools.cached_property
     def cover_pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -713,8 +710,7 @@ def build_lattice(labels, leq_pairs, name="") -> FiniteLattice:
     bottom, top = int(bottoms[0]), int(tops[0])
 
     lat = FiniteLattice(labels, leq, bottom, top, name=name)
-    lat._set_heights(heights)
-    lat._set_covers(covers)
+    lat._seed_forms(heights=heights, covers=covers)
     # With a unique bottom, the common lower bounds of x and y form a finite,
     # non-empty set whose join, when all joins exist, is x meet y: the join
     # table alone decides lattice-ness, and the meet table waits for a reader.

@@ -9,16 +9,23 @@ inclusion, i <= j), the cover pairs (x below x | 1 << i for each bit i unset
 in x; i below i + 1), and the tables (bitwise and/or, min/max).  Writing a
 document reads only the cover pairs, so it builds no n x n matrix; the
 premise still re-derives and compares the order, covers and tables.
-Subspace spans are integer array products, containment is a gather of each
-basis row's membership bits, covers are the graded ones (x <= y, one
-dimension higher), and subspace tables come from core's bound derivation
-over that order.  Only M3 and N5 take the validating path through
-build_lattice.  Every generator checks its size before it builds anything.
+Subspaces are integer arrays of reduced-row-echelon bases, each built
+from the smaller ones by one more leading row.  x^perp, the orthogonal
+complement under the dot product, is found from the points orthogonal to
+each basis row: a polarity, an inclusion-reversing involution, though over
+GF(q) not an orthocomplementation (Birkhoff & von Neumann 1936; Birkhoff,
+"Lattice Theory").  A subspace holds the points orthogonal to its
+complement, and x <= y iff y holds each basis row of x; covers are the
+graded ones (x <= y, one dimension higher).  The subspace join table comes
+from core's bound derivation over that order, and the meet table from the
+join by De Morgan's law, x meet y = (x^perp join y^perp)^perp, which the
+premise re-derives and compares.  Only M3 and N5 take the validating path
+through build_lattice.  Every generator checks its size before it builds
+anything.
 """
 
 from __future__ import annotations
 
-import itertools
 import string
 
 import numpy as np
@@ -26,6 +33,10 @@ import numpy as np
 from .core import FiniteLattice, _graded_covers, build_lattice
 from .errors import SizeBound
 from .limits import MAX_BOOLEAN_EXPONENT, MAX_VECTORS, element_cap
+
+
+# Entries per row block of the polar meet map.
+_MAP_ENTRIES = 1 << 16
 
 
 def boolean_lattice(n: int) -> FiniteLattice:
@@ -48,8 +59,8 @@ def boolean_lattice(n: int) -> FiniteLattice:
     idx = np.arange(size, dtype=np.int32)
     heights = sum((idx >> i) & 1 for i in range(n)).astype(np.int32)
     lat = FiniteLattice(labels, None, 0, size - 1, name=f"B_{n}")
-    lat._set_heights(heights)
     lat._seed_forms(
+        heights=heights,
         leq=lambda: _subset_order(n),
         cover_pairs=lambda: _subset_covers(idx, n),
         meet_table=lambda: idx[:, None] & idx[None, :],
@@ -108,30 +119,84 @@ def subspace_count(n: int, q: int) -> int:
     return sum(_gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
-def _rref_bases(n: int, q: int, k: int):
-    """All reduced-row-echelon bases of k-dim subspaces of F_q^n."""
-    if k == 0:
-        yield ()
-        return
-    for pivots in itertools.combinations(range(n), k):
-        free_cells = [
-            (r, c)
-            for r in range(k)
-            for c in range(pivots[r] + 1, n)
-            if c not in pivots
-        ]
-        for values in itertools.product(range(q), repeat=len(free_cells)):
-            rows = [[0] * n for _ in range(k)]
-            for r in range(k):
-                rows[r][pivots[r]] = 1
-            for (r, c), v in zip(free_cells, values):
-                rows[r][c] = v
-            yield tuple(tuple(row) for row in rows)
+def _rref_bases(n: int, q: int) -> list[np.ndarray]:
+    """Reduced-row-echelon bases of the subspaces of F_q^n, one int array
+    per dimension k = 0, ..., n, with a row per subspace of the base-q
+    numbers of its k basis rows, in lexicographic order.
+
+    RREF rows are points, vectors whose leading digit is 1.  A k-row basis
+    is a point a followed by a (k-1)-row basis B whose first pivot lies
+    right of a's pivot, with a zero digit at every pivot of B; B's rows are
+    zero at a's pivot, which lies left of theirs.  Listing the pairs (a, B)
+    with a ascending, then B in its own order, lists the bases in
+    lexicographic order, so nothing is sorted.
+    """
+    place = q ** np.arange(n - 1, -1, -1)
+    points = np.concatenate([np.arange(p, 2 * p) for p in place[::-1].tolist()])
+    nonzero = points[:, None] // place % q != 0
+    lead = nonzero.argmax(axis=1)
+    support = nonzero @ (1 << np.arange(n))  # bit c: a nonzero digit in column c
+    bases = [np.zeros((1, 0), dtype=int)]
+    first, pivots = np.array([n]), np.array([0])
+    for _ in range(n):
+        fits = (lead[:, None] < first) & (support[:, None] & pivots == 0)
+        a, b = np.divmod(np.flatnonzero(fits), fits.shape[1])
+        bases.append(np.column_stack((points[a], bases[-1][b])))
+        first, pivots = lead[a], pivots[b] | 1 << lead[a]
+    return bases
 
 
-def _vector_label(vec, q: int) -> str:
-    sep = "" if q <= 9 else ","
-    return sep.join(str(v) for v in vec)
+def _order_and_polarity(bases: list[np.ndarray], q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(leq, comp) of the subspaces of F_q^n that ``bases``, the output of
+    :func:`_rref_bases`, lists by dimension: the inclusion order, and the
+    index comp[x] of the orthogonal complement x^perp of each subspace x.
+
+    x^perp holds the vectors whose dot product with every vector of x is 0
+    mod q: those orthogonal to each basis row of x.  It is an
+    inclusion-reversing involution with dim x^perp = n - dim x, so it
+    permutes the subspaces.  x^perp's RREF row with its pivot in column c
+    is its least point in [q^(n-1-c), 2 q^(n-1-c)), the points with their
+    leading 1 there: any other adds a multiple of a later row, which raises
+    that row's pivot digit from 0.  Listing those rows by column, 0 where
+    x^perp has none, orders the subspaces of one dimension as their RREF
+    bases do, since a row with an earlier pivot has a larger number; so
+    sorting the complements by dimension and then by those lists puts them
+    in element order.  Since y = (y^perp)^perp, y holds a point iff the
+    point is orthogonal to y^perp, and x <= y iff y holds each basis row of
+    x, a gather of those bits per row.
+    """
+    n = len(bases) - 1
+    points = bases[1][:, 0]  # ascending
+    digits = points[:, None] // q ** np.arange(n) % q  # last column first; dot products stay
+    orth = digits @ digits.T % q == 0
+    slot = np.empty(q**n, dtype=np.intp)
+    slot[points] = np.arange(len(points))
+    rows = [slot[b] for b in bases]
+    perp = np.concatenate([orth[:, r].all(axis=2) for r in rows], axis=1)  # [p, x]: x^perp holds p
+    # least[j, x]: x^perp's least point in [q^j, 2 q^j), or 0.
+    found = np.where(perp, np.arange(len(points), dtype=np.int32)[:, None], len(points))
+    starts = np.searchsorted(points, q ** np.arange(n))
+    least = np.append(points, 0)[np.minimum.reduceat(found, starts, axis=0)]
+    order = np.lexsort((*least, np.count_nonzero(least, axis=0)))
+    comp = np.empty(len(order), dtype=np.int32)
+    comp[order] = np.arange(len(order), dtype=np.int32)
+    held = perp[:, comp]  # [p, y]: y holds p
+    leq = np.concatenate([held[r].all(axis=1) for r in rows])
+    return leq, comp
+
+
+def _polar_meets(join: np.ndarray, comp: np.ndarray) -> np.ndarray:
+    """Meet table from the join table by De Morgan through the polarity:
+    x meet y = comp[join[comp[x], comp[y]]], in row blocks of about
+    ``_MAP_ENTRIES`` entries, so no temporary nears the table's size."""
+    n = len(comp)
+    cols = comp.astype(np.intp)
+    meet = np.empty_like(join)
+    step = max(1, _MAP_ENTRIES // n)
+    for a in range(0, n, step):
+        rows = join.take(comp[a : a + step], axis=0)
+        comp.take(rows.take(cols, axis=1), out=meet[a : a + step])
+    return meet
 
 
 def subspace_lattice(dimension: int, field_order: int) -> FiniteLattice:
@@ -139,7 +204,15 @@ def subspace_lattice(dimension: int, field_order: int) -> FiniteLattice:
 
     Meet is intersection, join is linear span; height equals dimension.
     Subspaces are keyed by their reduced-row-echelon basis, so element order
-    and labels are canonical.
+    and labels are canonical.  The join table comes from core's bound
+    derivation; the meet table from it by De Morgan's law through the
+    orthogonal complement x^perp under the dot product, x meet y =
+    (x^perp join y^perp)^perp.  Over GF(q), x and x^perp can share vectors,
+    so x^perp is a polarity, not an orthocomplementation; De Morgan's law
+    needs only that it reverses inclusion and is an involution (Birkhoff &
+    von Neumann, "The logic of quantum mechanics", Ann. Math. 37, 1936;
+    Birkhoff, "Lattice Theory").  The meet is seeded, so the premise
+    re-derives and compares it.
     """
     n, q = dimension, field_order
     size = subspace_count(n, q)
@@ -147,46 +220,28 @@ def subspace_lattice(dimension: int, field_order: int) -> FiniteLattice:
     if size > cap:
         raise SizeBound(f"{size} subspaces exceeds the cap of {cap}")
 
-    # Each vector of F_q^n is its base-q number; the span of a k-row basis
-    # is every coefficient row of F_q^k times the basis, reduced mod q.
-    # held[v, x] says subspace x holds vector v, and basis_rows[x] lists the
-    # numbers of x's basis rows, the last one repeated to n, or vector 0.
-    place = q ** np.arange(n - 1, -1, -1)
-    held = np.zeros((q**n, size), dtype=bool)
-    basis_rows = np.zeros((size, n), dtype=int)
-    bases = []
-    for k in range(n + 1):
-        block = sorted(_rref_bases(n, q, k))
-        coeffs = np.array(list(itertools.product(range(q), repeat=k)), dtype=int)
-        rows = np.array(block, dtype=int).reshape(len(block), k, n)
-        spans = coeffs.reshape(q**k, k) @ rows % q @ place
-        ids = np.arange(len(bases), len(bases) + len(block))
-        held[spans, ids[:, None]] = True
-        if k:
-            basis_rows[ids] = (rows @ place)[:, np.minimum(np.arange(n), k - 1)]
-        bases.extend(block)
+    # Each vector of F_q^n is its base-q number.  Each distinct basis row, a
+    # point, is formatted once: its digits, comma-separated when q > 9.
+    bases = _rref_bases(n, q)
+    points = bases[1][:, 0]
+    digits = points[:, None] // q ** np.arange(n - 1, -1, -1) % q
+    sep = "" if q <= 9 else ","
+    text = dict(zip(points.tolist(), (sep.join(map(str, d)) for d in digits.tolist())))
+    labels = ["0"]
+    for rows in bases[1:]:
+        labels += ["<" + ",".join(map(text.__getitem__, b)) + ">" for b in rows.tolist()]
+    leq, comp = _order_and_polarity(bases, q)
+    dims = np.repeat(np.arange(n + 1, dtype=np.int32), [len(b) for b in bases])
 
-    labels = []
-    for b in bases:
-        if not b:
-            labels.append("0")
-        else:
-            labels.append("<" + ",".join(_vector_label(r, q) for r in b) + ">")
-
-    # x <= y iff y holds each basis row of x, since a subspace that holds a
-    # basis holds its span: one gather of size x size bits per basis row.
-    leq = held[basis_rows[:, 0]]
-    for j in range(1, n):
-        leq &= held[basis_rows[:, j]]
-
-    dims = np.array([len(b) for b in bases], dtype=np.int32)
     lat = FiniteLattice(labels, leq, 0, size - 1, name=f"subspaces_{n}_{q}")
-    lat._set_heights(dims)
-    lat._set_covers(_graded_covers(leq, dims))
-    # Derived from the seeded covers and heights, which the premise checks,
-    # and filled here.  No closed form gives them, and every consumer but the
-    # document writer reads them: a construction search over this lattice
-    # would otherwise pay the derivation inside its first call.
+    lat._seed_forms(
+        heights=dims,
+        covers=lambda: _graded_covers(leq, dims),
+        meet_table=lambda: _polar_meets(lat.join_table, comp),
+    )
+    # Filled here: every consumer but the document writer reads them, and a
+    # construction search over this lattice would otherwise pay the join
+    # derivation inside its first call.
     lat.join_table, lat.meet_table
     return lat
 
@@ -214,8 +269,8 @@ def chain(k: int) -> FiniteLattice:
         raise SizeBound(f"{k} elements exceeds the cap of {cap}")
     idx = np.arange(k, dtype=np.int32)
     lat = FiniteLattice([str(i) for i in range(k)], None, 0, k - 1, name=f"chain_{k}")
-    lat._set_heights(idx)
     lat._seed_forms(
+        heights=idx,
         leq=lambda: idx[:, None] <= idx[None, :],
         cover_pairs=lambda: (idx[:-1], idx[1:]),
         meet_table=lambda: np.minimum.outer(idx, idx),

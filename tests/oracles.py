@@ -15,7 +15,8 @@ not, and are the reference those fast paths must match exactly.  The
 order-derivation section freezes the squaring closure, square-read covers
 and argsort heights that ``core._order`` replaced, and the generator
 section the eager order and cover matrices of ``boolean_lattice`` and
-``chain`` that their closed forms replaced.  The write-path section
+``chain`` that their closed forms replaced, and the tuple enumeration and
+labels of ``subspace_lattice`` that its integer arrays replaced.  The write-path section
 freezes the ``argwhere`` cover pairs and the ``json.dumps`` document body
 that ``upper_neighbors`` and ``LatticeDocument.to_json`` replaced, and the
 writers of one label tuple, f-string and lookup per cover pair that the
@@ -671,7 +672,9 @@ def squaring_order(rel, labels):
 # ----- generator order reference --------------------------------------------
 #
 # Frozen copies of the order and cover matrices that ``boolean_lattice`` and
-# ``chain`` built eagerly before both became closed forms read on demand.
+# ``chain`` built eagerly before both became closed forms read on demand, and
+# of the tuple enumeration and per-row labels of ``subspace_lattice`` that
+# its integer arrays replaced.
 
 
 def doubling_boolean_order(n):
@@ -695,6 +698,43 @@ def graded_chain_order(k):
     idx = np.arange(k, dtype=np.int32)
     leq = idx[:, None] <= idx[None, :]
     return leq, leq & (idx[None, :] == idx[:, None] + 1)
+
+
+def rref_bases(n, q, k):
+    """All reduced-row-echelon bases of k-dim subspaces of F_q^n, as tuples
+    of row tuples, one ``itertools.product`` tuple of free cells at a time."""
+    if k == 0:
+        yield ()
+        return
+    for pivots in itertools.combinations(range(n), k):
+        free_cells = [
+            (r, c)
+            for r in range(k)
+            for c in range(pivots[r] + 1, n)
+            if c not in pivots
+        ]
+        for values in itertools.product(range(q), repeat=len(free_cells)):
+            rows = [[0] * n for _ in range(k)]
+            for r in range(k):
+                rows[r][pivots[r]] = 1
+            for (r, c), v in zip(free_cells, values):
+                rows[r][c] = v
+            yield tuple(tuple(row) for row in rows)
+
+
+def vector_label(vec, q):
+    sep = "" if q <= 9 else ","
+    return sep.join(str(v) for v in vec)
+
+
+def rref_labels(n, q):
+    """Labels of the subspaces of F_q^n in element order: by dimension, then
+    sorted bases, each "0" or its rows in angle brackets."""
+    labels = []
+    for k in range(n + 1):
+        for b in sorted(rref_bases(n, q, k)):
+            labels.append("<" + ",".join(vector_label(r, q) for r in b) + ">" if b else "0")
+    return labels
 
 
 # ----- bound-table and law-decider reference scans --------------------------

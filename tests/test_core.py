@@ -284,8 +284,14 @@ def test_premise_recomputes_only_the_tables_passed_in(monkeypatch):
     assert {"meet_table", "join_table"} <= fano.__dict__.keys()  # filled at generation
     calls = _count_bound_calls(monkeypatch)
     assert fano.tables_match_order()
-    assert calls == []
-    # Bitwise tables are passed in, so the premise re-derives both.
+    # The polar meet is seeded, so the premise re-derives it over the dual
+    # order; the join is the bound kernel's own, so it is not derived again.
+    assert len(calls) == 1
+    leq, covers, rank = calls[0]
+    assert np.array_equal(leq, fano.leq.T) and np.array_equal(covers, fano.covers.T)
+    assert np.array_equal(rank, 3 - fano.heights)
+    calls.clear()
+    # Bitwise tables are seeded, so the premise re-derives both.
     assert boolean_lattice(3).tables_match_order()
     assert len(calls) == 2
 

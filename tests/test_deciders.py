@@ -358,10 +358,8 @@ def _hand_built(lat, covers=None, heights=None):
     covers and heights and checks its premise unless some are seeded."""
     hand = FiniteLattice(lat.labels, lat.leq, lat.bottom, lat.top, lat.meet_table,
                          lat.join_table, name=lat.name)
-    if covers is not None:
-        hand._set_covers(covers)
-    if heights is not None:
-        hand._set_heights(heights)
+    seeded = {"covers": covers, "heights": heights}
+    hand._seed_forms(**{attr: arr for attr, arr in seeded.items() if arr is not None})
     return hand
 
 

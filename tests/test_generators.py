@@ -1,9 +1,11 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from latlab import (
+    FiniteLattice,
     SizeBound,
     boolean_lattice,
     build_lattice,
@@ -30,6 +32,7 @@ from oracles import (
     gaussian_binomial,
     graded_chain_order,
     label_spans,
+    rref_labels,
     scan_cover_matrix,
     scan_distributive,
     scan_subspace_tables,
@@ -217,6 +220,62 @@ def test_subspace_tables_equal_the_frozen_scan(law_corpus):
         assert np.array_equal(lat.join_table, join), lat.name
         _assert_seeded_covers(lat)
         _assert_premise_verified(lat)
+
+
+def test_subspace_labels_equal_the_frozen_enumeration(law_corpus):
+    params = {
+        tuple(int(v) for v in lat.name.split("_")[1:])
+        for lat in law_corpus
+        if lat.name.startswith("subspaces_")
+    }
+    for n, q in sorted(params) + [(5, 2), (3, 13), (6, 2), (4, 7)]:
+        assert list(subspace_lattice(n, q).labels) == rref_labels(n, q), (n, q)
+
+
+def _polarity(n, q):
+    return generators._order_and_polarity(generators._rref_bases(n, q), q)[1]
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_polarity_is_the_brute_force_orthogonal_complement(n, q):
+    lat = subspace_lattice(n, q)
+    spans = label_spans(lat, n, q)
+    by_span = {span: i for i, span in enumerate(spans)}
+    vectors = list(itertools.product(range(q), repeat=n))
+    brute = [
+        by_span[frozenset(v for v in vectors
+                          if all(sum(a * b for a, b in zip(u, v)) % q == 0 for u in span))]
+        for span in spans
+    ]
+    comp = _polarity(n, q)
+    assert comp.tolist() == brute
+    assert np.array_equal(comp[comp], np.arange(lat.size))  # an involution
+    assert np.array_equal(lat.leq[np.ix_(comp, comp)].T, lat.leq)  # x <= y iff y^perp <= x^perp
+    assert np.array_equal(lat.heights[comp], n - lat.heights)
+
+
+def test_a_meet_from_a_forged_polarity_fails_the_premise():
+    fano = subspace_lattice(3, 2)
+    comp = _polarity(3, 2)
+    a, b = fano.atoms()[:2]
+    forged = comp.copy()
+    forged[[a, b]] = comp[[b, a]]
+    assert not np.array_equal(generators._polar_meets(fano.join_table, forged), fano.meet_table)
+    lat = FiniteLattice(fano.labels, fano.leq, fano.bottom, fano.top, name="forged")
+    lat._seed_forms(
+        heights=fano.heights,
+        covers=fano.covers,
+        meet_table=lambda: generators._polar_meets(lat.join_table, forged),
+    )
+    assert not lat.tables_match_order()
+    # The same lattice seeded from the true polarity passes.
+    lat = FiniteLattice(fano.labels, fano.leq, fano.bottom, fano.top, name="true")
+    lat._seed_forms(
+        heights=fano.heights,
+        covers=fano.covers,
+        meet_table=lambda: generators._polar_meets(lat.join_table, comp),
+    )
+    assert lat.tables_match_order()
 
 
 @pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (3, 2)])

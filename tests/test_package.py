@@ -90,17 +90,22 @@ LAW_REGISTRY = {"latlab.props", "latlab.witness", "latlab.projective"}
 RUN_MAIN = "import sys, latlab.cli; raise SystemExit(latlab.cli.main(sys.argv[1:]))"
 
 
-def _loaded(*argv) -> tuple[int, set[str]]:
-    """Exit code and the latlab modules a fresh interpreter imports running
+def _imported(*argv) -> tuple[int, set[str]]:
+    """Exit code and every module a fresh interpreter imports running
     ``python -X importtime *argv``."""
     env = dict(os.environ)
     src = str(Path(latlab.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-X", "importtime", *argv], env=env,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    names = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-             if line.startswith("import time:")}
-    return proc.returncode, {name for name in names if name.split(".")[0] == "latlab"}
+    return proc.returncode, {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                             if line.startswith("import time:")}
+
+
+def _loaded(*argv) -> tuple[int, set[str]]:
+    """Exit code and the latlab modules among :func:`_imported`'s."""
+    code, names = _imported(*argv)
+    return code, {name for name in names if name.split(".")[0] == "latlab"}
 
 
 def test_bare_import_loads_no_submodule():
@@ -118,3 +123,10 @@ def test_each_command_loads_only_the_modules_it_runs(entry, tmp_path):
     assert _loaded(*entry, "check", m3) == (1, BASE | LAW_REGISTRY)
     code, modules = _loaded(*entry, "verify", "boolean", "--n", "2")
     assert code == 0 and "latlab.construction" in modules
+
+
+def test_gen_subspace_loads_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma (about 13 ms); nothing on the gen path needs it.
+    out = str(tmp_path / "s311.json")
+    code, modules = _imported("-m", "latlab", "gen", "subspace", "--n", "3", "--q", "11", "--out", out)
+    assert code == 0 and "numpy" in modules and "numpy.ma" not in modules
