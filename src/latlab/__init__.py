@@ -55,79 +55,7 @@ _HOMES = {
     "witness": ("witness_violates",),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
-__all__ = [
-    "BooleanSublattice",
-    "CharacterizationReport",
-    "ClosureResult",
-    "DepthExhausted",
-    "DocumentError",
-    "ElementId",
-    "FiniteLattice",
-    "GeometryView",
-    "LatticeDocument",
-    "LatticeError",
-    "Law",
-    "LawReport",
-    "MissingSplit",
-    "NoBoundingElements",
-    "NotALattice",
-    "NotAPartialOrder",
-    "NotAtomic",
-    "NotAtoms",
-    "NotGraded",
-    "PartialStructure",
-    "PipelineReport",
-    "Realization",
-    "RealizationMissing",
-    "SizeBound",
-    "Statement",
-    "StatementKind",
-    "UnknownConstant",
-    "add_split_alternative",
-    "apply_closure",
-    "atom_pair_structure",
-    "boolean_closure",
-    "boolean_lattice",
-    "build_lattice",
-    "build_tree",
-    "chain",
-    "check_lattice_axioms",
-    "check_p1",
-    "check_p2",
-    "check_p3_third_point",
-    "check_spanning",
-    "coplanar_lines_structure",
-    "derive_independent_atoms",
-    "diamond_m3",
-    "document_from_lattice",
-    "document_to_lattice",
-    "enumerate_boolean_sublattices",
-    "find_realization",
-    "geometry_view",
-    "initial_structure",
-    "is_atomic",
-    "is_complemented",
-    "is_distributive",
-    "is_independent",
-    "is_modular",
-    "is_perspective_lattice",
-    "lattice_to_dot",
-    "lattice_to_json",
-    "line_probe_structure",
-    "load_document",
-    "parse_document",
-    "pentagon_n5",
-    "satisfies",
-    "satisfies_height_law",
-    "saturate_splits",
-    "split_element",
-    "subspace_lattice",
-    "triple_split_structure",
-    "verify_bvn_characterization",
-    "verify_boolean_pipeline",
-    "verify_projective_pipeline",
-    "witness_violates",
-]
+__all__ = sorted(_HOME_OF)
 
 
 def __getattr__(name: str):

@@ -120,17 +120,16 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     from .props import LawReport
-    from .witness import law_checker
+    from .witness import LAWS
 
     started = time.perf_counter()
     laws = _requested_laws(args.laws, args.n)
     doc = _read_document(args.input)
     lat = document_to_lattice(doc)
     results = {}
-    check = law_checker(lat, args.n)
     for law in laws:
         try:
-            report = check(law)
+            report = LAWS[law].check(lat, args.n)
         except LatticeError as exc:
             report = LawReport(law, False, None, f"check aborted: {exc}")
         results[law.value] = report.to_dict(lat)

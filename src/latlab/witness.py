@@ -10,15 +10,12 @@ confirmed without trusting the checker.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 from .core import ElementId, FiniteLattice
-from .errors import NotGraded
 from .projective import (
-    GeometryView,
     check_p1,
     check_p2,
     check_p3_third_point,
@@ -194,50 +191,15 @@ class LawSpec:
     """How one law is checked and how its witnesses are re-checked.
 
     ``check(lat, n)`` returns the law's report; ``n``, the target height of
-    the top, is read only by laws with ``needs_n``.  Laws with
-    ``reads_view`` read the lattice's geometry view, and their ``check``
-    takes an optional third argument: a view the caller has already
-    classified.  ``violates(lat, witness)`` re-evaluates a failure witness
-    from the order alone, and is None for a law whose reports carry no
-    witness.
+    the top, is read only by laws with ``needs_n``.  The incidence laws
+    classify the lattice's geometry view themselves, on every call.
+    ``violates(lat, witness)`` re-evaluates a failure witness from the order
+    alone, and is None for a law whose reports carry no witness.
     """
 
-    check: Callable[..., LawReport]
+    check: Callable[[FiniteLattice, int | None], LawReport]
     violates: Callable[[FiniteLattice, tuple[ElementId, ...]], bool] | None
     needs_n: bool = False
-    reads_view: bool = False
-
-
-def _view_of(lat: FiniteLattice, view: GeometryView | None) -> GeometryView:
-    return geometry_view(lat) if view is None else view
-
-
-def law_checker(lat: FiniteLattice, n: int | None) -> Callable[[Law], LawReport]:
-    """``check(law)``: the registry's check of ``law`` on ``lat``, with every
-    law that reads the geometry view handed one view, classified on first
-    need.  An ungraded lattice is classified once too: each law that reads
-    the view raises a copy of the one NotGraded."""
-    classified: list[GeometryView | NotGraded] = []
-
-    def view() -> GeometryView:
-        if not classified:
-            try:
-                classified.append(geometry_view(lat))
-            except NotGraded as exc:
-                # Stored without its traceback, and raised as copies: a stored
-                # exception whose traceback's frames hold this list would form
-                # a cycle that keeps ``lat`` alive until a gc pass.
-                classified.append(exc.with_traceback(None))
-        outcome = classified[0]
-        if isinstance(outcome, NotGraded):
-            raise copy.copy(outcome)
-        return outcome
-
-    def check(law: Law) -> LawReport:
-        spec = LAWS[law]
-        return spec.check(lat, n, view()) if spec.reads_view else spec.check(lat, n)
-
-    return check
 
 
 # Entries call the checkers through their module-level names, so whatever
@@ -260,20 +222,10 @@ LAWS: dict[Law, LawSpec] = {
     Law.PERSPECTIVE: LawSpec(
         lambda lat, n: is_perspective_lattice(lat), _violates_perspective
     ),
-    Law.P1: LawSpec(
-        lambda lat, n, view=None: check_p1(_view_of(lat, view)),
-        _violates_p1,
-        reads_view=True,
-    ),
-    Law.P2: LawSpec(
-        lambda lat, n, view=None: check_p2(_view_of(lat, view)),
-        _violates_p2,
-        reads_view=True,
-    ),
+    Law.P1: LawSpec(lambda lat, n: check_p1(geometry_view(lat)), _violates_p1),
+    Law.P2: LawSpec(lambda lat, n: check_p2(geometry_view(lat)), _violates_p2),
     Law.THIRD_POINT: LawSpec(
-        lambda lat, n, view=None: check_p3_third_point(_view_of(lat, view)),
-        _violates_third_point,
-        reads_view=True,
+        lambda lat, n: check_p3_third_point(geometry_view(lat)), _violates_third_point
     ),
     Law.SPANNING: LawSpec(
         lambda lat, n: check_spanning(lat, n), _violates_spanning, needs_n=True

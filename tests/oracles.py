@@ -20,7 +20,9 @@ labels of ``subspace_lattice`` that its integer arrays replaced.  The write-path
 freezes the ``argwhere`` cover pairs and the ``json.dumps`` document body
 that ``upper_neighbors`` and ``LatticeDocument.to_json`` replaced, and the
 writers of one label tuple, f-string and lookup per cover pair that the
-index-array writers replaced.  The last
+index-array writers replaced.  The gradedness section freezes the
+``geometry_view`` that tested every cover through an n x n mask, which a
+pass over the cover pairs replaced.  The last
 section freezes the premise check with its own lub verifier, and
 ``saturate_splits`` as a rescan of every constant after each split.  The
 pair-loop section freezes P1, P2 and atoms-only perspectivity as the loops
@@ -954,6 +956,30 @@ def pairwise_lattice_to_dot(lat):
         lines.append(f"  {quote(lat.labels[x])} -> {quote(lat.labels[y])};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# ----- gradedness reference ----------------------------------------------------
+#
+# A frozen copy of ``geometry_view`` as it tested gradedness over the n x n
+# cover matrix, before it read the cover pairs.
+
+
+def masked_geometry_view(lat):
+    """Classify elements by height; raise NotGraded at the first cover, by
+    ``argwhere`` over the masked cover matrix, that jumps a height."""
+    from latlab.errors import NotGraded
+    from latlab.projective import GeometryView
+
+    h = lat.heights
+    jumps = np.argwhere(lat.covers & (h[None, :] != h[:, None] + 1))
+    if jumps.size:
+        x, y = (int(v) for v in jumps[0])
+        raise NotGraded(
+            f"cover {lat.labels[x]!r} -> {lat.labels[y]!r} jumps height "
+            f"{int(h[x])} -> {int(h[y])}",
+            witness=(x, y),
+        )
+    return GeometryView(lat, lat.at_height(1), lat.at_height(2), lat.at_height(3))
 
 
 # ----- premise and split-saturation reference -------------------------------

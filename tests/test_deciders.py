@@ -8,7 +8,9 @@ deciders' premise fails.  Orders with N5 or M3 grafted on top fail their
 laws only in the last rows, where the row cut of the distributive and
 modular scans must find the full scans' witnesses.  The row scans of P1, P2
 and atoms-only perspectivity must return the frozen pair loops' reports,
-witness and detail included.  Complemented and atomic must return the
+witness and detail included.  ``geometry_view``'s pass over the cover
+pairs must classify an order, or name its first jumping cover, as the
+frozen masked test did.  Complemented and atomic must return the
 reports of brute-force scans of the order, and random lattices must survive
 a write and a load unchanged.
 """
@@ -69,6 +71,7 @@ from oracles import (
     loop_atoms_perspective,
     loop_p1,
     loop_p2,
+    masked_geometry_view,
     scan_bound_tables,
     scan_cover_matrix,
     scan_distributive,
@@ -689,6 +692,44 @@ def test_row_scans_match_the_pair_loops_on_examples(fano, broken_plane, monkeypa
     assert not check_p1(geometry_view(broken_plane)).holds
     assert not check_p2(geometry_view(broken_plane)).holds
     assert not is_perspective_lattice(boolean_lattice(4)).holds
+
+
+# ----- gradedness over the cover pairs -----------------------------------------
+
+
+def _view_outcome(view_of, lat):
+    try:
+        return view_of(lat)
+    except NotGraded as exc:
+        return str(exc), exc.witness
+
+
+def _assert_views_match(lat):
+    assert _view_outcome(geometry_view, lat) == _view_outcome(masked_geometry_view, lat), lat.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(bounded_posets(), dm_completions(), downset_lattices()), st.booleans())
+def test_geometry_view_matches_the_masked_gradedness_test(relation, graft):
+    # The view reads only heights and covers, so a bounded order that is no
+    # lattice is classified as well.
+    labels, pairs = relation
+    top = int(np.flatnonzero(_closed(len(labels), pairs).all(axis=0))[0])
+    if graft:
+        labels, pairs = _graft_on_top(labels, pairs, top, "N5")
+        top = len(labels) - 1
+    leq = _closed(len(labels), pairs)
+    bottom = int(np.flatnonzero(leq.all(axis=1))[0])
+    _assert_views_match(FiniteLattice(labels, leq, bottom, top))
+
+
+def test_geometry_view_matches_the_masked_gradedness_test_on_examples(law_corpus, broken_plane):
+    # The generators seed their cover pairs; the grafts derive them.
+    lattices = [*law_corpus, broken_plane, _with_n5(chain(8)), _with_n5(boolean_lattice(3))]
+    for lat in lattices:
+        _assert_views_match(lat)
+    ungraded = [lat.name for lat in lattices if isinstance(_view_outcome(geometry_view, lat), tuple)]
+    assert len(ungraded) == 3, ungraded
 
 
 # ----- complements and atoms against order scans ------------------------------

@@ -32,7 +32,7 @@ from latlab import (
 from latlab import Law, witness
 from latlab import cli, construction, generators
 from latlab.cli import _requested_laws, build_parser, main
-from latlab.witness import LAWS, law_checker
+from latlab.witness import LAWS
 
 from oracles import json_dumps_document, pairwise_document_json, pairwise_lattice_to_dot
 
@@ -543,45 +543,25 @@ def test_out_dash_writes_stdout(capsys):
     assert doc.elements == ("0", "1", "2")
 
 
-# ----- one geometry view per check, failures included -------------------------
+# ----- incidence laws on an ungraded lattice -----------------------------------
 
 
-def _count_views(monkeypatch):
-    calls = []
-    original = witness.geometry_view
-
-    def counted(lat):
-        calls.append(lat.name)
-        return original(lat)
-
-    monkeypatch.setattr(witness, "geometry_view", counted)
-    return calls, original
-
-
-def test_one_check_classifies_an_ungraded_lattice_once(tmp_path, monkeypatch, capsys):
-    calls, original = _count_views(monkeypatch)
+def test_every_incidence_law_reports_the_one_not_graded_detail(tmp_path, capsys):
     n5 = pentagon_n5()
-    try:
-        original(n5)
-    except NotGraded as exc:
-        expected = (str(exc), exc.witness)
-    check = law_checker(n5, None)
+    with pytest.raises(NotGraded) as first:
+        witness.geometry_view(n5)
+    expected = (str(first.value), first.value.witness)
     for law in (Law.P1, Law.P2, Law.THIRD_POINT, Law.P1):
-        try:
-            check(law)
-        except NotGraded as exc:
-            assert (str(exc), exc.witness) == expected, law
-        else:
-            raise AssertionError(f"{law} read no view")
-    assert calls == ["N5"]
+        with pytest.raises(NotGraded) as exc:
+            LAWS[law].check(n5, None)
+        assert (str(exc.value), exc.value.witness) == expected, law
 
     n5_path = _gen(tmp_path, "gen", "n5")
-    calls.clear()
-    assert main(["check", n5_path, "--laws", "all"]) == 1
-    assert len(calls) == 1
-    laws = json.loads(capsys.readouterr().out)["report"]["laws"]
-    details = {laws[law]["detail"] for law in ("p1", "p2", "thirdpoint")}
-    assert details == {f"check aborted: {expected[0]}"}
+    for laws in ("all", "p1,p2,thirdpoint"):
+        assert main(["check", n5_path, "--laws", laws]) == 1
+        report = json.loads(capsys.readouterr().out)["report"]["laws"]
+        details = {report[law]["detail"] for law in ("p1", "p2", "thirdpoint")}
+        assert details == {f"check aborted: {expected[0]}"}, laws
 
 
 def test_a_classified_failure_keeps_the_lattice_in_no_cycle():
@@ -589,14 +569,13 @@ def test_a_classified_failure_keeps_the_lattice_in_no_cycle():
     try:
         lat = pentagon_n5()
         alive = weakref.ref(lat)
-        check = law_checker(lat, None)
-        for law, spec in LAWS.items():
+        for spec in LAWS.values():
             if not spec.needs_n:
                 try:
-                    check(law)
+                    spec.check(lat, None)
                 except LatticeError:
                     pass
-        del check, lat
+        del lat
         assert alive() is None
     finally:
         gc.enable()

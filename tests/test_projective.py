@@ -1,8 +1,10 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from latlab import (
+    FiniteLattice,
     NotAtomic,
     NotAtoms,
     NotGraded,
@@ -19,6 +21,7 @@ from latlab import (
     subspace_lattice,
     verify_bvn_characterization,
 )
+from latlab.core import _order
 
 
 def test_geometry_view_heights(fano):
@@ -148,14 +151,36 @@ def test_characterization_on_ungraded_and_unatomic_lattices():
     n5 = verify_bvn_characterization(pentagon_n5(), 3)
     assert "modular" in n5.failing()
     for clause in ("p1", "p2", "third_point"):
-        assert "not graded" in n5.clauses[clause].detail
+        assert n5.clauses[clause].detail == "not graded: cover 'b' -> '1' jumps height 1 -> 3"
     c3 = verify_bvn_characterization(chain(3), 2)
     assert "atomic" in c3.failing()
-    assert "not atomic" in c3.clauses["spanning"].detail
+    assert c3.clauses["spanning"].detail == "not atomic: lattice is not atomic"
 
 
-def test_characterization_classifies_the_lattice_once(fano, monkeypatch):
-    from latlab import projective, witness
+def test_characterization_reports_a_non_lattice_order_clause_by_clause():
+    # 0 < a, b < c, d < 1: a and b have two minimal upper bounds, so every
+    # clause that reads a bound table fails with the error deriving it raised.
+    labels = ["0", "a", "b", "c", "d", "1"]
+    rel = np.zeros((6, 6), dtype=bool)
+    for x, y in [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]:
+        rel[x, y] = True
+    bowtie = FiniteLattice(labels, _order(rel, labels)[0], 0, 5)
+    report = verify_bvn_characterization(bowtie, 3)
+    aborted = (False, "check aborted: elements 'a' and 'b' have no least upper bound")
+    assert {name: (r.holds, r.detail) for name, r in report.clauses.items()} == {
+        "modular": aborted,
+        "atomic": aborted,
+        "perspective": aborted,
+        "top_height": (True, "height(top)=3, expected 3"),
+        "p1": (False, "2 common lines"),
+        "p2": aborted,
+        "third_point": (False, "2 points"),
+        "spanning": aborted,
+    }
+
+
+def test_characterization_classifies_the_lattice_in_each_incidence_clause(fano, monkeypatch):
+    from latlab import witness
 
     calls = []
 
@@ -163,13 +188,12 @@ def test_characterization_classifies_the_lattice_once(fano, monkeypatch):
         calls.append(lat)
         return geometry_view(lat)
 
-    monkeypatch.setattr(projective, "geometry_view", counted)
     monkeypatch.setattr(witness, "geometry_view", counted)
     report = verify_bvn_characterization(fano, 3)
-    assert report.passed and calls == [fano]
-    # Called alone, a registry check still classifies the lattice itself.
+    assert report.passed and calls == [fano] * 3
+    # Called alone, a registry check classifies the lattice itself too.
     assert witness.LAWS[witness.Law.P1].check(fano, None).holds
-    assert calls == [fano, fano]
+    assert calls == [fano] * 4
 
 
 def test_characterization_rejects_a_negative_rank_before_any_clause(fano, monkeypatch):
@@ -178,7 +202,8 @@ def test_characterization_rejects_a_negative_rank_before_any_clause(fano, monkey
     def no_clause(lat, n):
         raise AssertionError("a clause ran")
 
-    monkeypatch.setattr(witness, "law_checker", no_clause)
+    for law in list(witness.LAWS):
+        monkeypatch.setitem(witness.LAWS, law, witness.LawSpec(no_clause, None))
     for lat in (fano, pentagon_n5()):
         with pytest.raises(ValueError, match=r"^the characterization needs n >= 0, got n=-1$"):
             verify_bvn_characterization(lat, -1)
